@@ -43,11 +43,13 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)" --target graphpim_sim >/dev/null
 
 # Pinned scenarios: one plain baseline, one GraphPIM, one fault-injecting
-# run (decorrelated RNG paths must survive the refactor too).
+# run (decorrelated RNG paths must survive the refactor too), and tc, which
+# hits the op cap at this size, so its post-cap path is diffed as well.
 SCENARIOS=(
   "bfs_baseline|--workload=bfs --mode=baseline"
   "bfs_graphpim|--workload=bfs --mode=graphpim"
   "dc_graphpim_ber|--workload=dc --mode=graphpim --link-ber=1e-7"
+  "tc_baseline|--workload=tc --mode=baseline"
 )
 COMMON=(--profile=ldbc --vertices=2048 --opcap=150000 --threads=8 --seed=1
         --jobs=1)

@@ -100,6 +100,22 @@ std::uint64_t DeriveCellSeed(std::uint64_t base_seed, std::size_t workload_idx,
   return b.Next();
 }
 
+core::Experiment::Options MakeExperimentOptions(const SweepGrid& grid,
+                                                std::uint64_t seed) {
+  core::Experiment::Options eo;
+  eo.num_threads = grid.sim_threads;
+  eo.seed = seed;
+  eo.op_cap = grid.op_cap;
+  // Uniform across the grid (prevalidated by Run).
+  eo.params.ann = grid.configs.front().ann;
+  // Uniform across the grid (prevalidated by Run): a persistent grid
+  // generates the full flush/fence discipline into the shared trace.
+  if (grid.configs.front().pmem.enable) {
+    eo.persist = pmem::PersistMode::kFull;
+  }
+  return eo;
+}
+
 const char* ToString(JobStatus s) {
   return s == JobStatus::kOk ? "ok" : "failed";
 }
@@ -269,19 +285,9 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
       const std::uint64_t cell_seed = DeriveCellSeed(grid.base_seed, wi, pi);
       std::shared_ptr<core::Experiment> exp;
       try {
-        core::Experiment::Options eo;
-        eo.num_threads = grid.sim_threads;
-        eo.seed = cell_seed;
-        eo.op_cap = grid.op_cap;
-        // Uniform across the grid (prevalidated above).
-        eo.params.ann = grid.configs.front().ann;
-        // Uniform across the grid (prevalidated above): a persistent grid
-        // generates the full flush/fence discipline into the shared trace.
-        if (grid.configs.front().pmem.enable) {
-          eo.persist = pmem::PersistMode::kFull;
-        }
         exp = std::make_shared<core::Experiment>(
-            grid.profiles[pi], grid.vertices, grid.workloads[wi], eo);
+            grid.profiles[pi], grid.vertices, grid.workloads[wi],
+            MakeExperimentOptions(grid, cell_seed));
       } catch (const std::exception& e) {
         // The cell is unbuildable (bad workload/profile name, degenerate
         // graph, ...): every job of the cell fails with this message, and
@@ -398,13 +404,9 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
             JobOut r;
             r.attempts = 2;
             try {
-              core::Experiment::Options eo;
-              eo.num_threads = grid.sim_threads;
-              eo.seed = retry_seed;
-              eo.op_cap = grid.op_cap;
-              eo.params.ann = grid.configs.front().ann;
               core::Experiment exp(grid.profiles[pi], grid.vertices,
-                                   grid.workloads[wi], eo);
+                                   grid.workloads[wi],
+                                   MakeExperimentOptions(grid, retry_seed));
               core::SimConfig cfg = grid.configs[k];
               cfg.hmc.fault.seed = fault::DeriveFaultSeed(retry_seed, k);
               core::RunOptions ro;

@@ -62,6 +62,12 @@ struct SweepGrid {
 std::uint64_t DeriveCellSeed(std::uint64_t base_seed, std::size_t workload_idx,
                              std::size_t profile_idx);
 
+// The Experiment options every job of `grid` builds its trace with, at
+// `seed`. The cell path and the timeout-retry path both use it, so a
+// retried job generates the same kind of trace as the job it replaces.
+core::Experiment::Options MakeExperimentOptions(const SweepGrid& grid,
+                                                std::uint64_t seed);
+
 enum class JobStatus { kOk, kFailed };
 
 const char* ToString(JobStatus s);

@@ -5,8 +5,8 @@
 // atomic fraction is tiny and GraphPIM's benefit is limited (Fig 7).
 //
 // Hub vertices make exact intersection O(d^2); like GraphBIG's optimized
-// kernel we bound per-list work (`max_list`), which only affects hubs.
-// Tests use graphs below the bound, where counting is exact.
+// kernel we bound per-list work (`max_list`), which only affects hubs: the
+// count intersects each list's first `max_list` entries.
 #ifndef GRAPHPIM_WORKLOADS_TC_H_
 #define GRAPHPIM_WORKLOADS_TC_H_
 

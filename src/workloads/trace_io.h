@@ -13,8 +13,11 @@ namespace graphpim::workloads {
 // Writes `trace` to `path`; returns false on I/O failure.
 bool SaveTrace(const Trace& trace, const std::string& path);
 
-// Loads a trace written by SaveTrace. Returns false on I/O failure;
-// malformed content (bad magic/version/counts) is fatal.
+// Loads a trace written by SaveTrace. Returns false if `path` cannot be
+// opened; malformed content (bad magic, a count larger than the file, an
+// out-of-range op type, atomic op or data component byte, streams that
+// disagree on their barrier count) throws SimError naming the file and the
+// stream or record.
 bool LoadTrace(const std::string& path, Trace* out);
 
 }  // namespace graphpim::workloads

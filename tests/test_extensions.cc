@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
+#include "common/log.h"
+#include "common/random.h"
 #include "core/report.h"
 #include "core/runner.h"
 #include "core/system.h"
 #include "graph/generator.h"
 #include "workloads/ccomp.h"
+#include "workloads/dc.h"
 #include "workloads/fusion.h"
 #include "workloads/kcore.h"
 #include "workloads/sssp.h"
@@ -179,6 +184,142 @@ TEST(TraceIo, ReplaySameResult) {
 TEST(TraceIo, MissingFileFails) {
   Trace t;
   EXPECT_FALSE(workloads::LoadTrace("/nonexistent/trace.bin", &t));
+}
+
+// ---- corrupt trace files: LoadTrace rejects them with a SimError naming
+// the file and the record (SaveTrace layout: 8-byte magic, u64 stream
+// count, then per stream a u64 record count and 16-byte records whose
+// bytes 8/9/10 are type/comp/aop).
+
+constexpr std::size_t kHeaderBytes = 16;
+constexpr std::size_t kRecordBytes = 16;
+
+std::vector<unsigned char> ReadFile(const std::string& path) {
+  std::vector<unsigned char> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  int c;
+  while ((c = std::fgetc(f)) != EOF) bytes.push_back(static_cast<unsigned char>(c));
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteFile(const std::string& path, const std::vector<unsigned char>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+// Offset of stream `s`'s record count in a file holding `t`.
+std::size_t StreamOffset(const Trace& t, std::size_t s) {
+  std::size_t off = kHeaderBytes;
+  for (std::size_t i = 0; i < s; ++i) off += 8 + kRecordBytes * t.streams[i].size();
+  return off;
+}
+
+// Saves a small dc trace, lets `corrupt` damage the bytes, and returns the
+// SimError message LoadTrace raises ("" if it accepted the file).
+template <typename Corrupt>
+std::string LoadCorrupted(const std::string& name, Corrupt corrupt) {
+  Built b;
+  workloads::DcWorkload dc;
+  Trace t = Gen(dc, b);
+  const std::string path = ::testing::TempDir() + "/" + name;
+  EXPECT_TRUE(workloads::SaveTrace(t, path));
+  std::vector<unsigned char> bytes = ReadFile(path);
+  corrupt(t, bytes);
+  WriteFile(path, bytes);
+  std::string msg;
+  Trace in;
+  try {
+    workloads::LoadTrace(path, &in);
+  } catch (const SimError& e) {
+    msg = e.message();
+  }
+  std::remove(path.c_str());
+  EXPECT_NE(msg.find(path), std::string::npos) << msg;
+  return msg;
+}
+
+// Sets byte `field` of a seeded random record to a seeded value in
+// [lo, 255]; returns the "stream S record I" the loader should name.
+std::string FlipRecordByte(const Trace& t, std::vector<unsigned char>& bytes,
+                           std::uint64_t seed, std::size_t field,
+                           unsigned lo) {
+  Rng rng(seed);
+  std::size_t s = 0;
+  do {
+    s = rng.NextBounded(t.streams.size());
+  } while (t.streams[s].size() == 0);
+  const std::size_t i = rng.NextBounded(t.streams[s].size());
+  bytes[StreamOffset(t, s) + 8 + kRecordBytes * i + field] =
+      static_cast<unsigned char>(lo + rng.NextBounded(256 - lo));
+  return "stream " + std::to_string(s) + " record " + std::to_string(i) + " ";
+}
+
+TEST(TraceIo, RejectsOutOfRangeEnumBytes) {
+  struct Case {
+    std::size_t field;  // byte within the record
+    unsigned first_bad;
+  };
+  const Case cases[] = {
+      {8, static_cast<unsigned>(cpu::OpType::kFence) + 1},
+      {9, static_cast<unsigned>(DataComponent::kProperty) + 1},
+      {10, static_cast<unsigned>(hmc::AtomicOp::kNumOps)}};
+  for (const Case& c : cases) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      std::string where;
+      const std::string msg = LoadCorrupted(
+          "gp_bad_enum.bin", [&](const Trace& t, std::vector<unsigned char>& b) {
+            where = FlipRecordByte(t, b, seed, c.field, c.first_bad);
+          });
+      EXPECT_NE(msg.find(where), std::string::npos) << msg;
+      EXPECT_NE(msg.find("out of range"), std::string::npos) << msg;
+    }
+  }
+}
+
+TEST(TraceIo, RejectsRecordCountLargerThanTheFile) {
+  for (std::uint64_t seed : {10u, 11u, 12u}) {
+    std::size_t stream = 0;
+    const std::string msg = LoadCorrupted(
+        "gp_bad_count.bin", [&](const Trace& t, std::vector<unsigned char>& b) {
+          // Flip one of the count's high bytes: a count no file could hold,
+          // which the loader must refuse before reserving for it.
+          Rng rng(seed);
+          stream = rng.NextBounded(t.streams.size());
+          const std::size_t byte = 4 + rng.NextBounded(4);
+          b[StreamOffset(t, stream) + byte] ^=
+              static_cast<unsigned char>(1 + rng.NextBounded(255));
+        });
+    EXPECT_NE(msg.find("stream " + std::to_string(stream) + " claims"),
+              std::string::npos)
+        << msg;
+  }
+}
+
+TEST(TraceIo, RejectsStreamsThatDisagreeOnBarriers) {
+  // An in-range type byte turned into kBarrier: every field is valid, but
+  // the stream would wait at a barrier no other stream reaches.
+  std::size_t stream = 0;
+  const std::string msg = LoadCorrupted(
+      "gp_bad_barrier.bin", [&](const Trace& t, std::vector<unsigned char>& b) {
+        stream = t.streams.size() - 1;
+        b[StreamOffset(t, stream) + 8 + 8] =
+            static_cast<unsigned char>(cpu::OpType::kBarrier);
+      });
+  EXPECT_NE(msg.find("stream " + std::to_string(stream) + " has"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(TraceIo, RejectsTruncatedFile) {
+  const std::string msg = LoadCorrupted(
+      "gp_truncated.bin", [](const Trace&, std::vector<unsigned char>& b) {
+        b.erase(b.end() - kRecordBytes / 2, b.end());
+      });
+  EXPECT_NE(msg.find("claims"), std::string::npos) << msg;
 }
 
 TEST(Report, FormatContainsHeadlines) {

@@ -7,6 +7,8 @@
 #include <deque>
 #include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/generator.h"
 #include "workloads/bc.h"
@@ -225,13 +227,15 @@ TEST(WorkloadTc, CountsTrianglesOnKnownGraph) {
   EXPECT_EQ(tc.triangles(), 1u);
 }
 
-std::uint64_t RefTriangles(const CsrGraph& g) {
+// Two-pointer merge over each (u, v > u) pair of adjacency lists, each
+// truncated to its first `max_list` entries as TcWorkload does for hubs.
+std::uint64_t RefTriangles(const CsrGraph& g, std::size_t max_list) {
   std::uint64_t total = 0;
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    auto nu = g.Neighbors(u);
+    auto nu = g.Neighbors(u).first(std::min(g.Neighbors(u).size(), max_list));
     for (VertexId v : nu) {
       if (v <= u) continue;
-      auto nv = g.Neighbors(v);
+      auto nv = g.Neighbors(v).first(std::min(g.Neighbors(v).size(), max_list));
       std::size_t a = 0;
       std::size_t c = 0;
       while (a < nu.size() && c < nv.size()) {
@@ -254,7 +258,93 @@ TEST(WorkloadTc, MatchesReferenceOnDedupedGraph) {
   Built b(TestGraph(300, 6.0, 21), /*dedup=*/true);
   TcWorkload tc(/*max_list=*/100000);  // no capping
   Generate(tc, b);
-  EXPECT_EQ(tc.triangles(), RefTriangles(b.g));
+  EXPECT_EQ(tc.triangles(), RefTriangles(b.g, 100000));
+}
+
+// A multigraph: parallel edges make the adjacency lists multisets, and a
+// hub above max_list exercises the truncation. The count must not depend
+// on where the op cap stops recording.
+TEST(WorkloadTc, MatchesTruncatedReferenceOnMultigraphAtAnyCap) {
+  constexpr std::uint32_t kMaxList = 8;
+  EdgeList el = TestGraph(64, 5.0, 9);
+  for (VertexId v = 1; v < 24; ++v) {  // hub 0, far above kMaxList
+    el.edges.push_back({0, v, 1});
+    if (v % 3 != 0) el.edges.push_back({v, 0, 1});
+  }
+  // Parallel edges with unequal multiplicities, so min(count in u's list,
+  // count in v's list) differs from either count alone.
+  const std::pair<Edge, int> parallel[] = {
+      {{1, 2, 1}, 3}, {{2, 1, 1}, 1}, {{1, 3, 1}, 2},
+      {{2, 3, 1}, 3}, {{3, 1, 1}, 1}, {{3, 2, 1}, 2}};
+  for (const auto& [e, copies] : parallel) {
+    for (int c = 0; c < copies; ++c) el.edges.push_back(e);
+  }
+  Built b(el, /*dedup=*/false);
+  ASSERT_GT(b.g.OutDegree(0), kMaxList);
+  const std::uint64_t want = RefTriangles(b.g, kMaxList);
+  ASSERT_NE(want, RefTriangles(b.g, 100000));  // truncation matters here
+  ASSERT_GT(want, 0u);
+
+  TcWorkload full(kMaxList);
+  const std::uint64_t ops = Generate(full, b).TotalOps();
+  EXPECT_EQ(full.triangles(), want);
+  for (std::uint64_t cap : {std::uint64_t{1}, ops / 7, ops / 2, ops - 5}) {
+    TcWorkload tc(kMaxList);
+    TraceBuilder tb(4, &b.space);
+    tb.SetOpCap(cap);
+    tc.Generate(b.g, b.space, tb);
+    EXPECT_TRUE(tb.Capped()) << cap;
+    EXPECT_EQ(tc.triangles(), want) << cap;
+  }
+}
+
+// Threads generate in order, so the op cap keeps a prefix of the thread-
+// ordered op sequence: the capped trace, streams concatenated without their
+// barriers, is the same-length prefix of the uncapped one (branch outcomes
+// included: each thread's mispredict RNG draws only for recorded branches).
+TEST(WorkloadTc, CappedTraceIsPrefixOfUncapped) {
+  // Each run builds its own graph: property arrays are allocated from the
+  // address space, so a second run on one space would store elsewhere.
+  const EdgeList el = TestGraph(256, 6.0, 11);
+  auto flatten = [](const Trace& t) {
+    std::vector<cpu::MicroOp> ops;
+    for (const auto& s : t.streams) {
+      EXPECT_GT(s.size(), 0u);
+      if (s.size() == 0) continue;
+      EXPECT_EQ(s[s.size() - 1].type, cpu::OpType::kBarrier);
+      for (const cpu::MicroOp& op : s) {
+        if (op.type != cpu::OpType::kBarrier) ops.push_back(op);
+      }
+    }
+    return ops;
+  };
+  Built full_b(el);
+  TcWorkload full_tc(16);
+  const std::vector<cpu::MicroOp> full = flatten(Generate(full_tc, full_b));
+  // Runs of consecutive caps put the cut at every offset of a merge step.
+  std::vector<std::uint64_t> caps = {full.size() - 1};
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    caps.push_back(1000 + k);
+    caps.push_back(full.size() / 3 + k);
+  }
+  for (std::uint64_t cap : caps) {
+    Built b(el);
+    TcWorkload tc(16);
+    TraceBuilder tb(4, &b.space);
+    tb.SetOpCap(cap);
+    tc.Generate(b.g, b.space, tb);
+    const std::vector<cpu::MicroOp> capped = flatten(tb.Take());
+    ASSERT_EQ(capped.size(), cap);
+    for (std::size_t i = 0; i < capped.size(); ++i) {
+      const cpu::MicroOp& x = capped[i];
+      const cpu::MicroOp& y = full[i];
+      ASSERT_TRUE(x.addr == y.addr && x.type == y.type && x.comp == y.comp &&
+                  x.aop == y.aop && x.size == y.size && x.flags == y.flags &&
+                  x.compute_lat == y.compute_lat)
+          << "cap " << cap << " op " << i;
+    }
+    EXPECT_EQ(tc.triangles(), full_tc.triangles()) << cap;
+  }
 }
 
 // ---------------------------------------------------------------- PRank

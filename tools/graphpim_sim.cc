@@ -226,16 +226,25 @@ int RunMain(const Config& cfg) {
   // Optional trace snapshotting.
   workloads::Trace trace = exp.trace();
   if (cfg.Has("trace-in")) {
-    GP_CHECK(workloads::LoadTrace(cfg.GetString("trace-in", ""), &trace),
-             "cannot read trace");
-    std::printf("replaying trace from %s (%llu ops)\n\n",
-                cfg.GetString("trace-in", "").c_str(),
+    const std::string path = cfg.GetString("trace-in", "");
+    if (!workloads::LoadTrace(path, &trace)) {
+      GP_THROW("config key 'trace-in': cannot open '", path, "'");
+    }
+    // Checked here, not inside the replay jobs, where it would be fatal.
+    const int cores = mode_cfgs.front().num_cores;
+    if (trace.streams.size() > static_cast<std::size_t>(cores)) {
+      GP_THROW("trace has ", trace.streams.size(), " streams but config key ",
+               "'threads' simulates only ", cores, " cores");
+    }
+    std::printf("replaying trace from %s (%llu ops)\n\n", path.c_str(),
                 static_cast<unsigned long long>(trace.TotalOps()));
   }
   if (cfg.Has("trace-out")) {
-    GP_CHECK(workloads::SaveTrace(trace, cfg.GetString("trace-out", "")),
-             "cannot write trace");
-    std::printf("trace saved to %s\n\n", cfg.GetString("trace-out", "").c_str());
+    const std::string path = cfg.GetString("trace-out", "");
+    if (!workloads::SaveTrace(trace, path)) {
+      GP_THROW("config key 'trace-out': cannot write '", path, "'");
+    }
+    std::printf("trace saved to %s\n\n", path.c_str());
   }
   if (cfg.GetBool("fuse", false)) {
     graph::AddressSpace space;
