@@ -152,30 +152,6 @@ for sc in "${SCENARIOS[@]}"; do
   done
 done
 
-# HEAD-only gate: the intra-run sharded replay engine (DESIGN.md §15). The
-# base binary rejects --shards, so the identity check is shard-count
-# invariance: every pinned scenario must emit byte-identical --json and
-# deterministic report output at --shards=4 and at the serial default.
-echo "== shard invariance (--shards=4 vs serial HEAD)"
-for sc in "${SCENARIOS[@]}"; do
-  name="${sc%%|*}"
-  read -r -a flags <<< "${sc#*|}"
-  build/tools/graphpim_sim "${COMMON[@]}" "${flags[@]}" \
-      --shards=4 --json="$WORK/$name.s4.json" \
-      > "$WORK/$name.s4.out"
-  sed -n '/^config:/,/^uncore energy:/p' "$WORK/$name.s4.out" \
-      > "$WORK/$name.s4.report"
-  for kind in json report; do
-    if cmp -s "$WORK/$name.head.$kind" "$WORK/$name.s4.$kind"; then
-      echo "   $name.$kind: shard-invariant"
-    else
-      echo "golden_identity: FAIL — --shards=4 perturbs $name.$kind:" >&2
-      diff "$WORK/$name.head.$kind" "$WORK/$name.s4.$kind" | head -20 >&2
-      fail=1
-    fi
-  done
-done
-
 echo "== crash-sweep determinism (gup, jobs 1 vs 4, rerun)"
 for run in j1 j4 rerun; do
   j=1; [[ "$run" == j4 ]] && j=4
@@ -272,9 +248,9 @@ fi
 # rejects --telemetry-window-ns, so two halves again: (a) telemetry off is
 # the default and passing the knob explicitly at 0 must reproduce the
 # flag-less HEAD outputs byte for byte on every pinned scenario; (b) a
-# windowed run's timeline must be bit-identical across --shards, across
-# reruns, and across --jobs for the sweep journal sidecars, and every
-# artifact must clear scripts/validate_trace.py.
+# windowed run's timeline must be bit-identical across reruns, and across
+# --jobs for the sweep journal sidecars, and every artifact must clear
+# scripts/validate_trace.py.
 echo "== telemetry-off identity (--telemetry-window-ns=0 vs no flag)"
 for sc in "${SCENARIOS[@]}"; do
   name="${sc%%|*}"
@@ -295,24 +271,20 @@ for sc in "${SCENARIOS[@]}"; do
   done
 done
 
-echo "== timeline determinism (shards 1 vs 4, rerun, sweep jobs 1 vs 4)"
-for run in s1 s4 rerun; do
-  s=1; [[ "$run" == s4 ]] && s=4
+echo "== timeline determinism (rerun, sweep jobs 1 vs 4)"
+for run in s1 rerun; do
   build/tools/graphpim_sim "${COMMON[@]}" --workload=bfs --mode=graphpim \
-      --shards="$s" --telemetry-window-ns=5000 \
+      --telemetry-window-ns=5000 \
       --timeline-out="$WORK/tl.$run.jsonl" \
       --metrics-out="$WORK/tl.$run.metrics.json" >/dev/null
 done
-for pair in "s1 s4" "s1 rerun"; do
-  read -r a b <<< "$pair"
-  if cmp -s "$WORK/tl.$a.jsonl" "$WORK/tl.$b.jsonl"; then
-    echo "   timeline $a vs $b: identical"
-  else
-    echo "golden_identity: FAIL — timeline $a vs $b differs:" >&2
-    diff "$WORK/tl.$a.jsonl" "$WORK/tl.$b.jsonl" | head -20 >&2
-    fail=1
-  fi
-done
+if cmp -s "$WORK/tl.s1.jsonl" "$WORK/tl.rerun.jsonl"; then
+  echo "   timeline s1 vs rerun: identical"
+else
+  echo "golden_identity: FAIL — timeline s1 vs rerun differs:" >&2
+  diff "$WORK/tl.s1.jsonl" "$WORK/tl.rerun.jsonl" | head -20 >&2
+  fail=1
+fi
 # Sweep rows retire in completion order under --jobs=4, so (as with span
 # sidecars) the invariant is the sorted timeline sidecar lines.
 for j in 1 4; do

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Boundary check for --trace-in: a corrupt trace file must be rejected with
-# a one-line `graphpim_sim: error: ...` naming the file (SimError caught at
-# main, exit 1), never an abort deep inside the loader or the replay.
+# Boundary check for bad CLI input: a corrupt --trace-in file, a malformed
+# or non-numeric flag, or an unknown option must be rejected with a one-line
+# `graphpim_sim: error: ...` (SimError caught at main, exit 1), never a
+# `fatal:` exit or an abort deep inside Config, the loader or the replay.
 #
-# Saves a small trace, damages one field per case, and replays each copy.
+# Saves a small trace, damages one field per case, and replays each copy;
+# then runs each bad flag on its own.
 #
 # Usage: scripts/trace_in_smoke.sh [path/to/graphpim_sim]
 set -u
@@ -55,17 +57,27 @@ check bad_comp 33 ff "stream 0 record 0 .*out of range"
 check bad_aop 34 ff "stream 0 record 0 .*out of range"
 check extra_barrier 32 05 "barriers"
 
+reject() {  # name, error text, graphpim_sim arguments...
+  local name="$1" want="$2"
+  shift 2
+  "$SIM" "$@" > /dev/null 2> "$WORK/$name.err"
+  local rc=$?
+  if [[ $rc -ne 1 ]] || [[ "$(wc -l < "$WORK/$name.err")" -ne 1 ]] ||
+      ! grep -q "^graphpim_sim: error: .*$want" "$WORK/$name.err"; then
+    echo "trace_in_smoke: FAIL — $name: exit $rc, stderr:" >&2
+    cat "$WORK/$name.err" >&2
+    fail=1
+  else
+    echo "   $name: rejected (exit 1)"
+  fi
+}
+
 # A well-formed trace with more streams than the machine has cores.
 "$SIM" "${ARGS[@]/--threads=4/--threads=8}" --trace-out="$WORK/wide.bin" \
     > /dev/null || { echo "trace_in_smoke: FAIL — could not save" >&2; exit 1; }
-"$SIM" "${ARGS[@]}" --trace-in="$WORK/wide.bin" > /dev/null 2> "$WORK/wide.err"
-rc=$?
-if [[ $rc -ne 1 ]] || ! grep -q "^graphpim_sim: error: trace has 8 streams" \
-    "$WORK/wide.err"; then
-  echo "trace_in_smoke: FAIL — wide: exit $rc, stderr:" >&2
-  cat "$WORK/wide.err" >&2
-  fail=1
-else
-  echo "   wide: rejected (exit 1)"
-fi
+reject wide "trace has 8 streams" "${ARGS[@]}" --trace-in="$WORK/wide.bin"
+
+reject help "malformed argument '--help'" --help
+reject non_numeric "'abc' is not an unsigned integer" --vertices=abc
+reject unknown_option "unknown option '--shards'" --shards=4
 exit $fail

@@ -17,7 +17,8 @@ class Config {
  public:
   Config() = default;
 
-  // Parses "--key=value" / "key=value" tokens; unknown tokens are fatal.
+  // Parses "--key=value" / "key=value" tokens; a token without '=' throws
+  // SimError.
   static Config FromArgs(int argc, char** argv);
 
   // Sets or overrides a key.
@@ -26,7 +27,7 @@ class Config {
   bool Has(const std::string& key) const;
 
   // Typed getters returning `def` when the key is absent. Malformed values
-  // are fatal (user error).
+  // throw SimError (user error).
   std::string GetString(const std::string& key, const std::string& def) const;
   std::int64_t GetInt(const std::string& key, std::int64_t def) const;
   std::uint64_t GetUint(const std::string& key, std::uint64_t def) const;

@@ -1,9 +1,8 @@
 #include "core/runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/log.h"
@@ -17,23 +16,23 @@ namespace {
 
 using cpu::OooCore;
 
-// Builds SimResults from the finished cores and memory system. `spans`
-// (may be null) is the run's flight recorder; its per-stage latency
-// histograms are folded into the merged registry.
-SimResults Collect(const SimConfig& cfg, const std::vector<std::unique_ptr<OooCore>>& cores,
-                   MemorySystem& mem, const trace::SpanRecorder* spans) {
+// The run's merged registry: the memory system's registry plus every
+// core's "core." registry, folded in core order. Built as a copy, so the
+// live registries stay untouched and it can be taken at any cut.
+StatRegistry MergedStats(const MemorySystem& mem,
+                         const std::vector<std::unique_ptr<OooCore>>& cores) {
+  StatRegistry merged = mem.stats();
+  for (const auto& c : cores) merged.Merge(c->stats());
+  return merged;
+}
+
+// Builds SimResults from the run's final merged registry `s` and its end
+// tick. `spans` (may be null) is the run's flight recorder; its per-stage
+// latency histograms are folded into the registry.
+SimResults Collect(const SimConfig& cfg, Tick end_tick, StatRegistry s,
+                   const trace::SpanRecorder* spans) {
   SimResults r;
   r.mode = ToString(cfg.mode);
-
-  // Fold every core's "core." registry into the memory system's registry:
-  // one StatRegistry::Merge per core replaces the old field-by-field
-  // CoreStats aggregation, and the run ends with a single unified registry.
-  StatRegistry& s = mem.stats();
-  Tick end_tick = 0;
-  for (const auto& c : cores) {
-    end_tick = std::max(end_tick, c->Now());
-    s.Merge(c->stats());
-  }
   const double cycle_ticks = 1000.0 / cfg.core.freq_ghz;
   r.cycles = static_cast<std::uint64_t>(static_cast<double>(end_tick) / cycle_ticks);
   r.insts = static_cast<std::uint64_t>(s.Get("core.insts"));
@@ -93,7 +92,7 @@ SimResults Collect(const SimConfig& cfg, const std::vector<std::unique_ptr<OooCo
 
   if (spans != nullptr) trace::FoldSpanStats(spans->log(), &s);
 
-  r.raw = s;
+  r.raw = std::move(s);
   return r;
 }
 
@@ -129,18 +128,14 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
 
   // Phase instrumentation: each BSP superstep ends at a barrier
   // rendezvous; cutting there captures the counters that superstep
-  // accrued. The merged view is rebuilt per cut (mem registry + every
-  // core's registry) — cheap at superstep frequency, and it leaves the
-  // live registries untouched.
+  // accrued — cheap at superstep frequency.
   Tick phase_start = 0;
   std::uint64_t superstep = 0;
   auto cut_phase = [&](const char* what, Tick end) {
     if (opts.phases == nullptr) return;
-    StatRegistry merged = mem.stats();
-    for (const auto& c : cores) merged.Merge(c->stats());
     opts.phases->Cut(
         StrFormat("%s.%llu", what, static_cast<unsigned long long>(superstep)),
-        phase_start, end, merged);
+        phase_start, end, MergedStats(mem, cores));
     phase_start = end;
   };
 
@@ -160,24 +155,20 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
         });
   }
 
-  // Loosely-synchronized quantum loop with barrier rendezvous.
+  // Loosely-synchronized quantum loop with barrier rendezvous. Each round
+  // advances the running cores in index order up to quantum_end, then
+  // either finishes, releases the barrier, or skips dead time.
   Tick quantum_end = cfg.quantum;
-
-  // One engine round's tail: aggregate core statuses and either finish,
-  // release the barrier rendezvous, or skip dead time. Shared by the serial
-  // loop and the sharded engine's controller shard; both invoke it only
-  // after every core advanced in index order, so the sequence of
-  // quantum_end / release decisions is identical at any shard count.
-  // Returns true when the run is complete.
-  auto round_tail = [&]() -> bool {
+  while (true) {
+    for (int i = 0; i < cfg.num_cores; ++i) {
+      if (status[i] == OooCore::Status::kRunning) {
+        status[i] = cores[static_cast<std::size_t>(i)]->Advance(quantum_end);
+      }
+    }
     // Telemetry window cuts key off the round's quantum_end *before* it is
-    // updated below: the sequence of quantum_end values is shard-invariant
-    // (the controller shard runs this exactly where the serial loop does),
-    // so the cut points — and the timeline — are too.
+    // updated below.
     if (tele != nullptr && quantum_end >= tele->next_boundary()) {
-      StatRegistry merged = mem.stats();
-      for (const auto& c : cores) merged.Merge(c->stats());
-      tele->AdvanceTo(quantum_end, merged);
+      tele->AdvanceTo(quantum_end, MergedStats(mem, cores));
     }
     bool all_done = true;
     bool any_running = false;
@@ -185,7 +176,7 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
       if (status[i] == OooCore::Status::kRunning) any_running = true;
       if (status[i] != OooCore::Status::kDone) all_done = false;
     }
-    if (all_done) return true;
+    if (all_done) break;
     if (!any_running) {
       // Everyone alive is parked at the same barrier: release at the
       // latest arrival.
@@ -215,93 +206,19 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
       }
       quantum_end = std::max(quantum_end + cfg.quantum, next + cfg.quantum);
     }
-    return false;
-  };
-
-  const int num_shards = std::min(cfg.shards, cfg.num_cores);
-  if (num_shards <= 1) {
-    // Serial engine: the strict default path.
-    while (true) {
-      for (int i = 0; i < cfg.num_cores; ++i) {
-        if (status[i] == OooCore::Status::kRunning) {
-          status[i] = cores[static_cast<std::size_t>(i)]->Advance(quantum_end);
-        }
-      }
-      if (round_tail()) break;
-    }
-  } else {
-    // Sharded engine (DESIGN.md §15): each worker owns a contiguous chunk
-    // of cores and advances them only while holding the turn token, which
-    // circulates 0 → 1 → … → S-1 every round. Holding the token gives a
-    // shard exclusive access to the shared memory system and engine state
-    // (the release store / acquire load pair carries the happens-before
-    // chain), and the token order reproduces the serial core-advancement
-    // total order exactly — outputs are bit-identical by construction.
-    // Shard S-1 doubles as the controller, running round_tail() at the end
-    // of its turn, precisely where the serial loop runs it.
-    std::atomic<std::uint64_t> turn{0};
-    bool engine_done = false;
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      workers.emplace_back([&, s]() {
-        const auto [begin, end] = workloads::ThreadChunk(
-            static_cast<std::size_t>(cfg.num_cores), s, num_shards);
-        const std::uint64_t stride = static_cast<std::uint64_t>(num_shards);
-        std::uint64_t my_turn = static_cast<std::uint64_t>(s);
-        while (true) {
-          while (turn.load(std::memory_order_acquire) != my_turn) {
-            std::this_thread::yield();
-          }
-          if (engine_done) {
-            turn.store(my_turn + 1, std::memory_order_release);
-            return;
-          }
-          for (std::size_t i = begin; i < end; ++i) {
-            if (status[i] == OooCore::Status::kRunning) {
-              status[i] = cores[i]->Advance(quantum_end);
-            }
-          }
-          if (s == num_shards - 1 && round_tail()) {
-            // Controller exits immediately on completion; the other shards
-            // each take one more turn to observe engine_done (they may only
-            // read it while holding the token — the acquire at the top of
-            // the turn is what orders the read after this write).
-            engine_done = true;
-            turn.store(my_turn + 1, std::memory_order_release);
-            return;
-          }
-          turn.store(my_turn + 1, std::memory_order_release);
-          my_turn += stride;
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
   }
 
-  if (opts.phases != nullptr) {
-    Tick end_tick = 0;
-    for (const auto& c : cores) end_tick = std::max(end_tick, c->Now());
-    cut_phase("drain", end_tick);
-  }
+  Tick end_tick = 0;
+  for (const auto& c : cores) end_tick = std::max(end_tick, c->Now());
 
-  if (tele != nullptr) {
-    Tick end_tick = 0;
-    for (const auto& c : cores) end_tick = std::max(end_tick, c->Now());
-    StatRegistry merged = mem.stats();
-    for (const auto& c : cores) merged.Merge(c->stats());
-    tele->Finish(end_tick, merged);
-  }
+  // Epilogue order matters: the final phase and telemetry window close
+  // before the persist domain is sealed, so pmem.unpersisted_at_end lands
+  // in the registry Collect reports and in no telemetry window.
+  cut_phase("drain", end_tick);
+  if (tele != nullptr) tele->Finish(end_tick, MergedStats(mem, cores));
+  if (mem.persist_domain() != nullptr) mem.persist_domain()->Finish(end_tick);
 
-  // Seal the persist domain before Collect so pmem.unpersisted_at_end is
-  // in the merged registry the report sees.
-  if (mem.persist_domain() != nullptr) {
-    Tick end_tick = 0;
-    for (const auto& c : cores) end_tick = std::max(end_tick, c->Now());
-    mem.persist_domain()->Finish(end_tick);
-  }
-
-  SimResults r = Collect(cfg, cores, mem, spans.get());
+  SimResults r = Collect(cfg, end_tick, MergedStats(mem, cores), spans.get());
   r.trace_peak_bytes = trace.BytesUsed();
   if (opts.spans != nullptr && spans != nullptr) {
     *opts.spans = spans->TakeLog();

@@ -55,10 +55,9 @@ struct RunOptions {
 
   // When non-null AND cfg.telemetry_window_ns > 0, receives the run's
   // windowed counter/gauge timeline (DESIGN.md §17; cleared first). The
-  // sampler cuts windows at the engine's round tail, where quantum_end is
-  // identical at any --shards, so the timeline is bit-identical across
-  // shard counts and reruns. With window_ns == 0 no sampler is built and
-  // this stays untouched.
+  // sampler cuts windows at the end of each engine round, keyed off the
+  // round's quantum_end, so the timeline is bit-identical across reruns.
+  // With window_ns == 0 no sampler is built and this stays untouched.
   telemetry::Timeline* timeline = nullptr;
 };
 

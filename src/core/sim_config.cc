@@ -85,9 +85,6 @@ constexpr KnobRow kKnobs[] = {
     {"retry_ns", "retry-ns", 0, 1'000'000, false,
      [](const SimConfig& c) { return TicksToNs(c.hmc.fault.retry_latency); },
      [](SimConfig& c, double v) { c.hmc.fault.retry_latency = NsToTicks(v); }},
-    {"sim.shards", "shards", 1, 256, true,
-     [](const SimConfig& c) { return static_cast<double>(c.shards); },
-     [](SimConfig& c, double v) { c.shards = static_cast<int>(v); }},
     {"trace.sample_rate", "trace-sample-rate", 0, 1, false,
      [](const SimConfig& c) { return c.trace_sample_rate; },
      [](SimConfig& c, double v) { c.trace_sample_rate = v; }},

@@ -32,7 +32,7 @@ bool LoadEdgeList(const std::string& path, EdgeList* out) {
     int n = std::sscanf(line, "%u %u %u", &src, &dst, &w);
     if (n < 2) {
       std::fclose(f);
-      GP_FATAL("malformed edge-list line in ", path, ": ", line);
+      GP_THROW("malformed edge-list line in ", path, ": ", line);
     }
     out->edges.push_back(Edge{src, dst, n >= 3 ? w : 1});
     VertexId hi = static_cast<VertexId>(std::max(src, dst)) + 1;

@@ -26,7 +26,7 @@ struct EdgeList {
 };
 
 // Plain-text edge-list I/O ("src dst [weight]" per line, '#' comments).
-// Returns false on I/O failure (malformed content is fatal).
+// Returns false on I/O failure; malformed content throws SimError.
 bool SaveEdgeList(const EdgeList& el, const std::string& path);
 bool LoadEdgeList(const std::string& path, EdgeList* out);
 

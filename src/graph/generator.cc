@@ -186,7 +186,7 @@ VertexId LdbcSizeFromName(const std::string& name) {
   if (name == "ldbc-10k") return 10 * 1024;
   if (name == "ldbc-100k") return 100 * 1024;
   if (name == "ldbc-1m") return 1024 * 1024;
-  GP_FATAL("unknown LDBC dataset '", name, "' (ldbc-1k/10k/100k/1m)");
+  GP_THROW("unknown LDBC dataset '", name, "' (ldbc-1k/10k/100k/1m)");
 }
 
 }  // namespace graphpim::graph

@@ -51,7 +51,8 @@ EdgeList GenerateUniform(VertexId num_vertices, double avg_degree, std::uint64_t
 EdgeList GenerateProfile(const std::string& profile, VertexId num_vertices,
                          std::uint64_t seed);
 
-// Table VI name -> vertex count ("ldbc-1k" ... "ldbc-1m").
+// Table VI name -> vertex count ("ldbc-1k" ... "ldbc-1m"); an unknown name
+// throws SimError.
 VertexId LdbcSizeFromName(const std::string& name);
 
 }  // namespace graphpim::graph

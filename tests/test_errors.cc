@@ -1,6 +1,9 @@
-// Failure-injection tests: invariant violations and user errors must
-// terminate with a diagnostic rather than corrupt the simulation.
+// Failure-injection tests: invariant violations must terminate with a
+// diagnostic, and user errors must throw SimError, rather than corrupt the
+// simulation.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "common/config.h"
 #include "common/log.h"
@@ -14,6 +17,17 @@ namespace {
 
 using DeathTest = ::testing::Test;
 
+// Runs `fn`, which must throw SimError whose message contains `needle`.
+template <typename Fn>
+void ExpectSimError(Fn fn, const std::string& needle) {
+  EXPECT_THROW(fn(), SimError);
+  try {
+    fn();
+  } catch (const SimError& e) {
+    EXPECT_NE(e.message().find(needle), std::string::npos) << e.message();
+  }
+}
+
 TEST(ErrorPaths, CheckMacroAborts) {
   EXPECT_DEATH({ GP_CHECK(1 == 2, "impossible"); }, "check failed");
 }
@@ -26,17 +40,18 @@ TEST(ErrorPaths, FatalExitsWithDiagnostic) {
   EXPECT_EXIT({ GP_FATAL("bad config"); }, ::testing::ExitedWithCode(1), "bad config");
 }
 
+// Bad CLI input is recoverable: the drivers catch SimError at main() and
+// print one `error:` line instead of dying inside Config.
 TEST(ErrorPaths, ConfigRejectsMalformedArg) {
   const char* argv[] = {"prog", "--no-equals-sign"};
-  EXPECT_EXIT({ Config::FromArgs(2, const_cast<char**>(argv)); },
-              ::testing::ExitedWithCode(1), "malformed argument");
+  ExpectSimError([&] { Config::FromArgs(2, const_cast<char**>(argv)); },
+                 "malformed argument");
 }
 
 TEST(ErrorPaths, ConfigRejectsNonNumeric) {
   Config cfg;
   cfg.Set("n", "abc");
-  EXPECT_EXIT({ cfg.GetInt("n", 0); }, ::testing::ExitedWithCode(1),
-              "not an integer");
+  ExpectSimError([&] { cfg.GetInt("n", 0); }, "not an integer");
 }
 
 TEST(ErrorPaths, RegionExhaustionIsFatal) {
@@ -98,8 +113,7 @@ TEST(ErrorPaths, ConfigRequireKeysAcceptsAndRejects) {
 }
 
 TEST(ErrorPaths, UnknownLdbcNameIsFatal) {
-  EXPECT_EXIT({ graph::LdbcSizeFromName("ldbc-9z"); }, ::testing::ExitedWithCode(1),
-              "unknown LDBC dataset");
+  ExpectSimError([] { graph::LdbcSizeFromName("ldbc-9z"); }, "unknown LDBC dataset");
 }
 
 }  // namespace

@@ -218,6 +218,8 @@ TEST(SweepGridSpec, RejectsUnknownKeysAndEmptyWorkloads) {
   }
   EXPECT_THROW({ ParseGridSpec("modes=all"); }, SimError);
   EXPECT_THROW({ ParseGridSpec("workloads=bfs;vertices=abc"); }, SimError);
+  // A retired knob is an unknown key like any other.
+  EXPECT_THROW(ParseGridSpec("workloads=bfs;sim.shards=4"), SimError);
 }
 
 TEST(SweepGridSpec, RejectsMalformedAndOutOfRangeFields) {

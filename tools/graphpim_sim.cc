@@ -12,8 +12,6 @@
 //                [--cube-page-bytes=4096]  # PMR interleave granularity
 //                [--fuse=0]           # Section III-B comparison-block fusion
 //                [--jobs=N]           # replay modes in parallel (0 = nproc)
-//                [--shards=N]         # intra-run parallel replay shards;
-//                                     # byte-identical output at any N
 //                [--progress=1]       # stderr heartbeat per retired mode
 //                [--json=out.json]    # machine-readable results (last mode)
 //                [--metrics-out=p.json]  # per-superstep phase deltas for the
