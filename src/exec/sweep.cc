@@ -1,8 +1,10 @@
 #include "exec/sweep.h"
 
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -59,11 +61,19 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
 
 // Checked numeric parses with the grid key in the diagnostic. These are
 // user errors, so they throw SimError (recoverable) rather than abort.
-std::uint64_t ParseGridUint(const std::string& key, const std::string& val) {
+// strtoull/strtod alone would wrap a leading '-' to a huge value and stop
+// at an embedded NUL, so both parsers require the whole string to be used.
+std::uint64_t ParseGridUint(const std::string& key, const std::string& val,
+                            std::uint64_t max = ~std::uint64_t{0}) {
   char* end = nullptr;
+  errno = 0;
   const std::uint64_t v = std::strtoull(val.c_str(), &end, 0);
-  if (end == nullptr || end == val.c_str() || *end != '\0') {
+  if (end == val.c_str() || end != val.c_str() + val.size() ||
+      val.find('-') != std::string::npos) {
     GP_THROW("grid spec key '", key, "': '", val, "' is not an integer");
+  }
+  if (errno == ERANGE || v > max) {
+    GP_THROW("grid spec key '", key, "': ", val, " is above its maximum ", max);
   }
   return v;
 }
@@ -71,7 +81,7 @@ std::uint64_t ParseGridUint(const std::string& key, const std::string& val) {
 double ParseGridDouble(const std::string& key, const std::string& val) {
   char* end = nullptr;
   const double v = std::strtod(val.c_str(), &end);
-  if (end == nullptr || end == val.c_str() || *end != '\0') {
+  if (end == val.c_str() || end != val.c_str() + val.size()) {
     GP_THROW("grid spec key '", key, "': '", val, "' is not a number");
   }
   return v;
@@ -535,10 +545,12 @@ SweepGrid ParseGridSpec(const std::string& spec) {
     } else if (key == "modes") {
       modes = ParseModeList(val);
     } else if (key == "vertices") {
-      grid.vertices = static_cast<VertexId>(ParseGridUint(key, val));
+      grid.vertices = static_cast<VertexId>(
+          ParseGridUint(key, val, std::numeric_limits<VertexId>::max()));
       if (grid.vertices == 0) GP_THROW("grid spec key 'vertices' must be > 0");
     } else if (key == "threads") {
-      grid.sim_threads = static_cast<int>(ParseGridUint(key, val));
+      grid.sim_threads = static_cast<int>(
+          ParseGridUint(key, val, std::numeric_limits<int>::max()));
       if (grid.sim_threads < 1) GP_THROW("grid spec key 'threads' must be >= 1");
     } else if (key == "opcap") {
       grid.op_cap = ParseGridUint(key, val);

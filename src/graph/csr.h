@@ -19,8 +19,16 @@ namespace graphpim::graph {
 class CsrGraph {
  public:
   // Builds the CSR from an edge list; neighbor lists are sorted by
-  // destination. `dedup` removes parallel edges (keeping the first weight).
-  CsrGraph(const EdgeList& el, AddressSpace& space, bool dedup = false);
+  // destination, parallel edges by weight. `dedup` removes parallel edges,
+  // keeping the smallest weight. An endpoint outside [0, num_vertices)
+  // is a panic.
+  //
+  // Large builds split the source vertices into ranges across threads;
+  // the result is byte-identical at any thread count. `threads` exists for
+  // tests: 0 picks one thread per CPU this process may run on, at most one
+  // per ~1M edges.
+  CsrGraph(const EdgeList& el, AddressSpace& space, bool dedup = false,
+           unsigned threads = 0);
 
   VertexId num_vertices() const { return num_vertices_; }
   EdgeId num_edges() const { return static_cast<EdgeId>(neighbors_.size()); }

@@ -49,20 +49,10 @@ Edge RmatEdge(Rng& rng, std::uint32_t scale, const std::uint64_t thresholds[3]) 
   return Edge{src, dst, 1};
 }
 
-// Degree-bounded RMAT edge draw loop. Templated on the degree-counter type:
-// counters never exceed `cap`, so when the cap fits in uint16 the two
-// per-vertex arrays shrink by half — they are hit in random order for every
-// drawn edge, and for large graphs their footprint dominates the loop.
-template <typename DegT>
+// Unbounded RMAT edge draw loop (max_degree_factor = 0).
 void DrawRmatEdges(EdgeList& el, Rng& rng, std::uint64_t target,
                    std::uint32_t scale, const std::uint64_t thresholds[3],
-                   std::uint32_t cap, std::uint64_t max_weight) {
-  std::vector<DegT> in_deg;
-  std::vector<DegT> out_deg;
-  if (cap != 0) {
-    in_deg.assign(el.num_vertices, 0);
-    out_deg.assign(el.num_vertices, 0);
-  }
+                   std::uint64_t max_weight) {
   // Draw from a local generator copy: its state never escapes the loop, so
   // the compiler can keep all four xoshiro words in registers instead of
   // storing them back through the reference on every one of the ~20 draws
@@ -71,25 +61,105 @@ void DrawRmatEdges(EdgeList& el, Rng& rng, std::uint64_t target,
   Rng local = rng;
   while (el.edges.size() < target) {
     Edge e = RmatEdge(local, scale, thresholds);
-    if (cap != 0) {
-      // Redirect endpoints whose degree budget is exhausted to uniform
-      // random vertices (degree bounding, see header comment).
-      while (out_deg[e.src] >= cap) {
-        e.src = static_cast<VertexId>(local.NextBounded(el.num_vertices));
-      }
-      while (in_deg[e.dst] >= cap) {
-        e.dst = static_cast<VertexId>(local.NextBounded(el.num_vertices));
-      }
-    }
     if (e.src == e.dst) continue;  // drop self-loops
-    if (cap != 0) {
-      ++out_deg[e.src];
-      ++in_deg[e.dst];
-    }
     e.weight = 1 + static_cast<std::uint32_t>(local.NextBounded(max_weight));
     el.edges.push_back(e);
   }
   rng = local;
+}
+
+// One bit per vertex; a set bit marks a vertex whose degree reached the cap.
+class SaturationBits {
+ public:
+  explicit SaturationBits(VertexId n) : words_((n + 63) / 64, 0) {}
+  bool Test(VertexId v) const { return (words_[v >> 6] >> (v & 63)) & 1; }
+  void Set(VertexId v) { words_[v >> 6] |= std::uint64_t{1} << (v & 63); }
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
+
+// A look-ahead edge: the generator state it was drawn from, and what that
+// state yields under the saturation the look-ahead saw (src == dst marks a
+// self-loop, which carries no weight draw).
+struct Candidate {
+  Rng start;
+  Edge edge;
+};
+
+// Degree-bounded RMAT edge draw loop. Endpoints whose degree budget is
+// exhausted are redirected to uniform random vertices (degree bounding, see
+// header comment). Templated on the degree-counter type: counters never
+// exceed `cap`, so when the cap fits in uint16 the two per-vertex arrays
+// shrink by half.
+//
+// The counters are hit in random order for every drawn edge, and at 1M
+// vertices those loads, not the RNG, bound the loop. So a look-ahead copy
+// of the generator runs kDepth edges ahead, drawing each candidate against
+// two saturation bitmaps (small enough to stay in L2) and prefetching the
+// counters that candidate will bump. The consumer takes candidates in order
+// and checks each against the exact counters. The result is identical to
+// the serial loop because saturation only grows and a bit is set only once
+// its counter really reached `cap`: a set bit is never wrong, so a
+// candidate's redirects are right and only its final endpoints can be stale
+// (a vertex that saturated inside the window). Such a candidate is redrawn
+// from its saved state against the now-exact bitmaps, and the look-ahead
+// restarts behind it.
+template <typename DegT>
+void DrawRmatEdges(EdgeList& el, Rng& rng, std::uint64_t target,
+                   std::uint32_t scale, const std::uint64_t thresholds[3],
+                   std::uint32_t cap, std::uint64_t max_weight) {
+  const VertexId n = el.num_vertices;
+  std::vector<DegT> in_deg(n, 0);
+  std::vector<DegT> out_deg(n, 0);
+  SaturationBits out_sat(n);
+  SaturationBits in_sat(n);
+
+  // One step of the serial loop, minus the counter bumps.
+  auto draw = [&](Rng& r) {
+    Edge e = RmatEdge(r, scale, thresholds);
+    while (out_sat.Test(e.src)) e.src = static_cast<VertexId>(r.NextBounded(n));
+    while (in_sat.Test(e.dst)) e.dst = static_cast<VertexId>(r.NextBounded(n));
+    if (e.src != e.dst) {
+      e.weight = 1 + static_cast<std::uint32_t>(r.NextBounded(max_weight));
+    }
+    return e;
+  };
+  auto accept = [&](const Edge& e) {
+    if (e.src == e.dst) return;  // drop self-loops
+    if (++out_deg[e.src] == cap) out_sat.Set(e.src);
+    if (++in_deg[e.dst] == cap) in_sat.Set(e.dst);
+    el.edges.push_back(e);
+  };
+
+  constexpr unsigned kDepth = 8;  // a power of two
+  Candidate ring[kDepth];
+  unsigned head = 0;
+  unsigned count = 0;
+  // Local copy for the same reason as the unbounded loop.
+  Rng ahead = rng;
+  while (el.edges.size() < target) {
+    for (; count < kDepth; ++count) {
+      Candidate& c = ring[(head + count) & (kDepth - 1)];
+      c.start = ahead;
+      c.edge = draw(ahead);
+      __builtin_prefetch(&out_deg[c.edge.src], 1);
+      __builtin_prefetch(&in_deg[c.edge.dst], 1);
+    }
+    const Candidate& c = ring[head];
+    if (out_deg[c.edge.src] < cap && in_deg[c.edge.dst] < cap) {
+      accept(c.edge);
+      head = (head + 1) & (kDepth - 1);
+      --count;
+    } else {
+      ahead = c.start;
+      accept(draw(ahead));
+      count = 0;
+    }
+  }
+  // Resume the caller's generator where the serial loop would have stopped:
+  // at the first candidate not consumed.
+  rng = count > 0 ? ring[head].start : ahead;
 }
 
 }  // namespace
@@ -112,7 +182,9 @@ EdgeList GenerateRmat(const RmatParams& params) {
   const std::uint64_t thresholds[3] = {
       ThresholdMantissa(params.a), ThresholdMantissa(params.a + params.b),
       ThresholdMantissa(params.a + params.b + params.c)};
-  if (cap <= 0xffff) {
+  if (cap == 0) {
+    DrawRmatEdges(el, rng, target, scale, thresholds, params.max_weight);
+  } else if (cap <= 0xffff) {
     DrawRmatEdges<std::uint16_t>(el, rng, target, scale, thresholds, cap,
                                  params.max_weight);
   } else {

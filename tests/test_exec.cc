@@ -245,6 +245,22 @@ TEST(SweepGridSpec, RejectsMalformedAndOutOfRangeFields) {
   EXPECT_THROW({ ParseModeList(""); }, SimError);
 }
 
+TEST(SweepGridSpec, RejectsSignsOverflowAndEmbeddedNul) {
+  // strtoull wraps "-1" to 2^64-1; a VertexId cast would then truncate.
+  EXPECT_THROW(ParseGridSpec("workloads=bfs;vertices=-2048"), SimError);
+  EXPECT_THROW(ParseGridSpec("workloads=bfs;opcap=-1"), SimError);
+  EXPECT_THROW(ParseGridSpec("workloads=bfs;vertices=4294967298"), SimError);
+  EXPECT_THROW(ParseGridSpec("workloads=bfs;threads=4294967304"), SimError);
+  EXPECT_THROW(ParseGridSpec("workloads=bfs;seed=99999999999999999999"), SimError);
+  // A NUL inside a value would end the C string the parser reads.
+  EXPECT_THROW(ParseGridSpec(std::string("workloads=bfs;vertices=20") + '\0' + "x"),
+               SimError);
+  EXPECT_THROW(ParseGridSpec(std::string("workloads=bfs;link_ber=1e-9") + '\0' + "x"),
+               SimError);
+  EXPECT_EQ(ParseGridSpec("workloads=bfs;vertices=4294967295").vertices,
+            4294967295u);
+}
+
 TEST(SweepGridSpec, FaultKeysApplyToEveryConfig) {
   SweepGrid g = ParseGridSpec(
       "workloads=bfs;modes=baseline,graphpim;link_ber=1e-9;"

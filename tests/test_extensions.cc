@@ -11,6 +11,7 @@
 #include "core/report.h"
 #include "core/runner.h"
 #include "core/system.h"
+#include "exec/sweep.h"
 #include "graph/generator.h"
 #include "workloads/ccomp.h"
 #include "workloads/dc.h"
@@ -320,6 +321,46 @@ TEST(TraceIo, RejectsTruncatedFile) {
         b.erase(b.end() - kRecordBytes / 2, b.end());
       });
   EXPECT_NE(msg.find("claims"), std::string::npos) << msg;
+}
+
+// ---- corrupt grid specs: a seeded byte flip of a valid spec either still
+// parses or throws SimError; any other exception, or an abort, fails.
+
+TEST(GridSpecIo, ByteFlipsParseOrThrowSimError) {
+  const std::string specs[] = {
+      "workloads=bfs,prank;profiles=ldbc,twitter;modes=baseline,graphpim;"
+      "vertices=2048;threads=8;opcap=100000;seed=7;full=0",
+      "workloads=bfs;modes=all;num_cubes=1,2,4;topology=star;cube_page_bytes=4096",
+      "workloads=bfs;link_ber=1e-9;vault_stall_ppm=50;poison_ppm=5;"
+      "max_retries=7;retry_ns=12;linkbw=2.5",
+      "workloads=gup;modes=graphpim;pmem.enable=1;pmem.flush_ns=40;"
+      "pmem.fence_ns=20;pmem.crash_tick=-1;uc_depth=16",
+      "workloads=ann;ann.dim=16;ann.m=8;ann.ef_search=32;ann.k=4;"
+      "telemetry.window_ns=500;trace.sample_rate=0.25;trace.max_spans=100"};
+  int parsed = 0;
+  int rejected = 0;
+  for (const std::string& spec : specs) {
+    ASSERT_NO_THROW(exec::ParseGridSpec(spec)) << spec;
+    for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+      Rng rng(seed);
+      std::string bad = spec;
+      for (std::uint64_t k = 1 + rng.NextBounded(3); k > 0; --k) {
+        bad[rng.NextBounded(bad.size())] =
+            static_cast<char>(rng.NextBounded(256));
+      }
+      try {
+        exec::ParseGridSpec(bad);
+        ++parsed;
+      } catch (const SimError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "seed " << seed << " spec '" << bad
+                      << "' threw a non-SimError: " << e.what();
+      }
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(Report, FormatContainsHeadlines) {
