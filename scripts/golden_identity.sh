@@ -36,11 +36,13 @@ trap 'rm -rf "$WORK" && git worktree prune' EXIT
 echo "== building base $BASE_SHA"
 git worktree add --detach "$WORK/base" "$BASE_SHA" >/dev/null
 cmake -B "$WORK/base/build" -S "$WORK/base" >/dev/null
-cmake --build "$WORK/base/build" -j "$(nproc)" --target graphpim_sim >/dev/null
+cmake --build "$WORK/base/build" -j "$(nproc)" \
+    --target graphpim_sim graphpim_serve graphpim_sweep >/dev/null
 
 echo "== building HEAD"
 cmake -B build -S . >/dev/null
-cmake --build build -j "$(nproc)" --target graphpim_sim >/dev/null
+cmake --build build -j "$(nproc)" \
+    --target graphpim_sim graphpim_serve graphpim_sweep >/dev/null
 
 # Pinned scenarios: one plain baseline, one GraphPIM, one fault-injecting
 # run (decorrelated RNG paths must survive the refactor too), and tc, which
@@ -81,6 +83,72 @@ for sc in "${SCENARIOS[@]}"; do
     fi
   done
 done
+
+# Base diff of every exported trace file, with spans and windows on: the
+# simulator's Chrome and JSONL --metrics-out files and --timeline-out, the
+# serve tool's table and exports, and a sweep journal's sidecars. Sweep
+# rows retire in completion order under --jobs>1, so sidecars compare
+# sorted; phases_for sidecars compare after a numeric parse, which lets
+# their time fields change text format without changing value.
+echo "== trace export identity (HEAD vs base)"
+EXPORT_SIM=(--workload=bfs --mode=all --trace-sample-rate=0.05
+            --telemetry-window-ns=5000)
+EXPORT_SERVE=(--profile=ldbc --vertices=2048 --requests=48 --tenants=2
+              --modes=baseline,graphpim --qps-grid=2e5,2e6 --queue-depth=16
+              --seed=1 --jobs=1 --telemetry-window-ns=20000 --slo-ns=20000)
+EXPORT_SWEEP=(--workloads=bfs --modes=baseline,graphpim --vertices=2048
+              --opcap=150000 --seed=1 --jobs=2 --trace-sample-rate=0.05
+              --telemetry-window-ns=5000 --journal-phases=1)
+for side in base head; do
+  if [[ "$side" == base ]]; then
+    bin="$WORK/base/build/tools"
+  else
+    bin="build/tools"
+  fi
+  ex="$WORK/ex.$side"
+  "$bin/graphpim_sim" "${COMMON[@]}" "${EXPORT_SIM[@]}" \
+      --metrics-out="$ex.sim.json" --timeline-out="$ex.sim.tl.jsonl" \
+      >/dev/null
+  "$bin/graphpim_sim" "${COMMON[@]}" "${EXPORT_SIM[@]}" \
+      --metrics-out="$ex.sim.jsonl" >/dev/null
+  "$bin/graphpim_serve" "${EXPORT_SERVE[@]}" \
+      --metrics-out="$ex.serve.json" --timeline-out="$ex.serve.tl.jsonl" \
+      > "$ex.serve.out"
+  sed -n '/^== saturation table ==$/,/^== end saturation table ==$/p' \
+      "$ex.serve.out" > "$ex.serve.table"
+  "$bin/graphpim_serve" "${EXPORT_SERVE[@]}" \
+      --metrics-out="$ex.serve.jsonl" >/dev/null
+  "$bin/graphpim_sweep" "${EXPORT_SWEEP[@]}" --journal="$ex.journal.jsonl" \
+      >/dev/null
+  grep -E '^[{]"(spans|timeline)_for":' "$ex.journal.jsonl" | sort \
+      > "$ex.sidecars"
+done
+for kind in sim.json sim.jsonl sim.tl.jsonl serve.table serve.json \
+    serve.jsonl serve.tl.jsonl sidecars; do
+  if cmp -s "$WORK/ex.base.$kind" "$WORK/ex.head.$kind"; then
+    echo "   export $kind: identical"
+  else
+    echo "golden_identity: FAIL — exported $kind differs from $BASE_SHA:" >&2
+    diff "$WORK/ex.base.$kind" "$WORK/ex.head.$kind" | head -20 >&2
+    fail=1
+  fi
+done
+if python3 - "$WORK/ex.base.journal.jsonl" "$WORK/ex.head.journal.jsonl" \
+    <<'EOF'
+import json, sys
+def phases(path):
+    rows = (json.loads(line, parse_int=float) for line in open(path)
+            if line.startswith('{"phases_for":'))
+    return sorted(json.dumps(row, sort_keys=True) for row in rows)
+base, head = phases(sys.argv[1]), phases(sys.argv[2])
+sys.exit(0 if base and base == head else 1)
+EOF
+then
+  echo "   export phases_for sidecars: equal values"
+else
+  echo "golden_identity: FAIL — phases_for sidecars differ from $BASE_SHA" >&2
+  fail=1
+fi
 
 # HEAD-only gate: the multi-cube network does not exist at the merge base
 # (the base binary rejects --num-cubes), so its identity check is jobs-count

@@ -79,5 +79,8 @@ reject wide "trace has 8 streams" "${ARGS[@]}" --trace-in="$WORK/wide.bin"
 
 reject help "malformed argument '--help'" --help
 reject non_numeric "'abc' is not an unsigned integer" --vertices=abc
+reject negative "'-5' is not an unsigned integer" --vertices=-5 --opcap=1000
+reject too_many_vertices "4294967297 is above its maximum 4294967295" \
+    --vertices=4294967297 --opcap=1000
 reject unknown_option "unknown option '--shards'" --shards=4
 exit $fail

@@ -9,8 +9,9 @@ Accepts any mix of:
     (pid, name) track.
   * JSONL files (--metrics-out=x.jsonl, --timeline-out, or a sweep
     --journal): every line must parse as strict JSON; phase lines need
-    start_ns <= end_ns; span lines/objects need known stage names and
-    enter_ns <= exit_ns; telemetry window lines (and journal
+    start_ns <= end_ns and numeric deltas, as do the phases embedded in
+    journal {"phases_for":...} sidecars; span lines/objects need known
+    stage names and enter_ns <= exit_ns; telemetry window lines (and journal
     {"timeline_for":...} sidecars) need contiguous indices per point and
     monotonic, non-overlapping window timestamps.
 
@@ -85,6 +86,25 @@ def check_chrome(path, doc):
     return True
 
 
+def check_numeric_items(path, i, what, items):
+    if not isinstance(items, dict):
+        return fail(path, f"line {i}: {what} is not an object")
+    for k, v in items.items():
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            return fail(path, f"line {i}: {what}['{k}'] is not numeric")
+    return True
+
+
+def check_phase(path, i, obj):
+    for key in ("phase", "start_ns", "end_ns", "deltas"):
+        if key not in obj:
+            return fail(path, f"line {i}: phase missing key '{key}'")
+    if obj["start_ns"] > obj["end_ns"]:
+        return fail(path, f"line {i}: phase ends before it starts")
+    return check_numeric_items(path, i, f"phase {obj['phase']} deltas",
+                               obj["deltas"])
+
+
 def check_window(path, i, obj, last_window):
     """One telemetry timeline line; last_window maps point -> (index, end)."""
     for key in ("window", "start_ns", "end_ns", "deltas", "gauges"):
@@ -93,12 +113,8 @@ def check_window(path, i, obj, last_window):
     if obj["start_ns"] > obj["end_ns"]:
         return fail(path, f"line {i}: window ends before it starts")
     for field in ("deltas", "gauges"):
-        if not isinstance(obj[field], dict):
-            return fail(path, f"line {i}: window '{field}' is not an object")
-        for k, v in obj[field].items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                return fail(path,
-                            f"line {i}: window {field}['{k}'] is not numeric")
+        if not check_numeric_items(path, i, f"window {field}", obj[field]):
+            return False
     point = obj.get("point", "")
     prev = last_window.get(point)
     if prev is not None:
@@ -128,10 +144,12 @@ def check_jsonl(path, lines):
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             return fail(path, f"line {i} is not strict JSON: {e}")
-        if "phase" in obj:
-            phases += 1
-            if obj["start_ns"] > obj["end_ns"]:
-                return fail(path, f"line {i}: phase ends before it starts")
+        if "phase" in obj or "phases_for" in obj:
+            # A phase line, or a journal sidecar embedding phase lines.
+            for ph in obj.get("phases", [obj] if "phase" in obj else []):
+                phases += 1
+                if not check_phase(path, i, ph):
+                    return False
         elif "spans_for" in obj or "stages" in obj:
             group = obj.get("spans", [obj] if "stages" in obj else [])
             for span in group:
@@ -151,7 +169,7 @@ def check_jsonl(path, lines):
                 if not check_window(path, i, w, sidecar_last):
                     return False
         else:
-            rows += 1  # journal header / result rows / phase sidecars
+            rows += 1  # journal header / result rows
     print(f"validate_trace: {path}: OK "
           f"({phases} phases, {spans} spans, {windows} windows, "
           f"{rows} other lines)")

@@ -1,5 +1,7 @@
 #include "common/config.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/log.h"
@@ -43,15 +45,28 @@ std::int64_t Config::GetInt(const std::string& key, std::int64_t def) const {
   return v;
 }
 
-std::uint64_t Config::GetUint(const std::string& key, std::uint64_t def) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return def;
+std::uint64_t ParseUint(const std::string& what, const std::string& val,
+                        std::uint64_t max) {
   char* end = nullptr;
-  std::uint64_t v = std::strtoull(it->second.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0') {
-    GP_THROW("config key '", key, "': '", it->second, "' is not an unsigned integer");
+  errno = 0;
+  const std::uint64_t v = std::strtoull(val.c_str(), &end, 0);
+  // strtoull skips blanks and wraps a leading minus sign, so the first
+  // character must be a digit; the end check also catches an embedded NUL.
+  if (val.empty() || std::isdigit(static_cast<unsigned char>(val[0])) == 0 ||
+      end != val.c_str() + val.size()) {
+    GP_THROW(what, ": '", val, "' is not an unsigned integer");
+  }
+  if (errno == ERANGE || v > max) {
+    GP_THROW(what, ": ", val, " is above its maximum ", max);
   }
   return v;
+}
+
+std::uint64_t Config::GetUint(const std::string& key, std::uint64_t def,
+                              std::uint64_t max) const {
+  auto it = values_.find(key);
+  if (it == values_.end()) return def;
+  return ParseUint("config key '" + key + "'", it->second, max);
 }
 
 double Config::GetDouble(const std::string& key, double def) const {

@@ -13,6 +13,13 @@
 
 namespace graphpim {
 
+// Strict unsigned parse shared by the CLI and the grid spec: all of `val`
+// must be one unsigned integer (decimal, 0x hex or 0 octal) with no sign,
+// blank, trailing text or embedded NUL, and at most `max`. Throws SimError
+// starting with `what` (e.g. "config key 'vertices'") otherwise.
+std::uint64_t ParseUint(const std::string& what, const std::string& val,
+                        std::uint64_t max = ~std::uint64_t{0});
+
 class Config {
  public:
   Config() = default;
@@ -30,7 +37,9 @@ class Config {
   // throw SimError (user error).
   std::string GetString(const std::string& key, const std::string& def) const;
   std::int64_t GetInt(const std::string& key, std::int64_t def) const;
-  std::uint64_t GetUint(const std::string& key, std::uint64_t def) const;
+  // GetUint parses strictly (see ParseUint) and rejects values above `max`.
+  std::uint64_t GetUint(const std::string& key, std::uint64_t def,
+                        std::uint64_t max = ~std::uint64_t{0}) const;
   double GetDouble(const std::string& key, double def) const;
   bool GetBool(const std::string& key, bool def) const;
 

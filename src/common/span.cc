@@ -228,7 +228,6 @@ std::string SpansToJsonl(const SpanLog& log) {
 
 std::string SpansToChromeEvents(const SpanLog& log) {
   if (log.empty()) return std::string();
-  auto tick_us = [](Tick t) { return static_cast<double>(t) / 1e6; };
   std::string out;
   bool first = true;
   auto emit = [&](const std::string& event) {
@@ -253,7 +252,7 @@ std::string SpansToChromeEvents(const SpanLog& log) {
         "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":2,\"tid\":%d,"
         "\"ts\":%.6f,\"dur\":%.6f,\"args\":{\"id\":\"%llu\","
         "\"addr\":\"0x%llx\",\"offloaded\":%d}}",
-        kind, sp.core, tick_us(sp.begin), tick_us(sp.end - sp.begin),
+        kind, sp.core, TicksToUs(sp.begin), TicksToUs(sp.end - sp.begin),
         static_cast<unsigned long long>(sp.id),
         static_cast<unsigned long long>(sp.addr), sp.offloaded ? 1 : 0));
     for (const SpanStageRecord& st : sp.stages) {
@@ -278,8 +277,8 @@ std::string SpansToChromeEvents(const SpanLog& log) {
       emit(StrFormat(
           "{\"name\":\"span.%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,"
           "\"ts\":%.6f,\"dur\":%.6f,\"args\":{\"id\":\"%llu\"}}",
-          ToString(st.stage), pid, tid, tick_us(st.enter),
-          tick_us(st.exit - st.enter),
+          ToString(st.stage), pid, tid, TicksToUs(st.enter),
+          TicksToUs(st.exit - st.enter),
           static_cast<unsigned long long>(sp.id)));
     }
   }

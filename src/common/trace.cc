@@ -10,11 +10,14 @@ namespace graphpim::trace {
 
 namespace {
 
-// Ticks are picoseconds; Chrome trace timestamps are microseconds.
-double TickToUs(Tick t) { return static_cast<double>(t) / 1e6; }
-
-double TickToNs(Tick t) {
-  return static_cast<double>(t) / static_cast<double>(kTicksPerNs);
+// "k1":v1,"k2":v2 — the body of every deltas/gauges/args object.
+void AppendItems(const Items& items, std::string* out) {
+  bool first = true;
+  for (const auto& [k, v] : items) {
+    if (!first) *out += ',';
+    first = false;
+    *out += '"' + JsonEscape(k) + "\":" + FormatStatValue(v);
+  }
 }
 
 }  // namespace
@@ -26,75 +29,136 @@ std::string FormatStatValue(double v) {
   return StrFormat("%.6g", v);
 }
 
-void PhaseLog::Cut(std::string name, Tick start, Tick end,
-                   const StatRegistry& reg) {
-  StatSnapshot now = reg.Snapshot();
-  PhaseRecord rec;
-  rec.name = std::move(name);
-  rec.start = start;
-  rec.end = end;
-  rec.deltas = DeltaItems(now, prev_);
-  prev_ = std::move(now);
-  phases_.push_back(std::move(rec));
+Interval* IntervalLog::Cut(std::string name, Tick start, Tick end,
+                           const StatRegistry* reg) {
+  if (max_ != 0 && intervals_.size() >= max_) {
+    ++dropped_;
+    return nullptr;
+  }
+  Interval iv;
+  iv.name = std::move(name);
+  iv.start = start;
+  iv.end = end;
+  if (reg != nullptr) {
+    StatSnapshot now = reg->Snapshot();
+    iv.deltas = DeltaItems(now, prev_);
+    prev_ = std::move(now);
+  }
+  intervals_.push_back(std::move(iv));
+  return &intervals_.back();
 }
 
-void PhaseLog::Clear() {
-  phases_.clear();
-  prev_ = StatSnapshot();
+FixedWindows::FixedWindows(Tick width, IntervalLog* log, GaugeSampler gauges)
+    : width_(width), next_(width), log_(log), gauges_(std::move(gauges)) {
+  GP_CHECK(width > 0, "telemetry window must be at least one tick");
+  GP_CHECK(log != nullptr);
 }
 
-std::string ToChromeTrace(const PhaseLog& log, const SpanLog* spans) {
-  TraceExtras extras;
-  extras.spans = spans;
-  return ToChromeTrace(log, extras);
+void FixedWindows::CutWindow(Tick start, Tick end, const StatRegistry* reg) {
+  Interval* w = log_->Cut(std::string(), start, end, reg);
+  if (w != nullptr && gauges_) gauges_(start, end, &w->gauges);
 }
 
-std::string ToChromeTrace(const PhaseLog& log, const TraceExtras& extras) {
-  const SpanLog* spans = extras.spans;
+void FixedWindows::AdvanceTo(Tick now, const StatRegistry* reg) {
+  for (; next_ <= now; next_ += width_) {
+    CutWindow(next_ - width_, next_, reg);
+    reg = nullptr;  // virtual time inside one call is not subdividable
+  }
+}
+
+void FixedWindows::Finish(Tick end, const StatRegistry* reg) {
+  if (finished_) return;
+  finished_ = true;
+  AdvanceTo(end, reg);
+  const Tick start = next_ - width_;
+  if (end > start || log_->empty()) CutWindow(start, end, reg);
+}
+
+void RequireSink(double window_ns, bool has_sink, const char* hint) {
+  if (window_ns > 0.0 && !has_sink) {
+    GP_THROW("telemetry.window_ns=", window_ns,
+             " but no telemetry sink is attached: ", hint);
+  }
+}
+
+std::string PhasesToJsonl(const IntervalLog& log) {
+  std::string out;
+  for (const Interval& ph : log.intervals()) {
+    out += StrFormat("{\"phase\":\"%s\",\"start_ns\":%.3f,\"end_ns\":%.3f,"
+                     "\"deltas\":{",
+                     JsonEscape(ph.name).c_str(), TicksToNs(ph.start),
+                     TicksToNs(ph.end));
+    AppendItems(ph.deltas, &out);
+    out += "}}\n";
+  }
+  return out;
+}
+
+std::string WindowsToJsonl(const IntervalLog& log, const std::string& point) {
+  std::string out;
+  const std::vector<Interval>& ws = log.intervals();
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    out += '{';
+    if (!point.empty()) out += "\"point\":\"" + JsonEscape(point) + "\",";
+    out += StrFormat("\"window\":%zu,\"start_ns\":%.3f,\"end_ns\":%.3f,"
+                     "\"deltas\":{",
+                     i, TicksToNs(ws[i].start), TicksToNs(ws[i].end));
+    AppendItems(ws[i].deltas, &out);
+    out += "},\"gauges\":{";
+    AppendItems(ws[i].gauges, &out);
+    out += "}}\n";
+  }
+  return out;
+}
+
+std::string ToChromeTrace(const IntervalLog& phases, const SpanLog* spans,
+                          const std::vector<PointWindows>& windows) {
   std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   bool first = true;
-  auto emit = [&](const std::string& event) {
+  auto sep = [&] {
     if (!first) out += ',';
     first = false;
+  };
+  auto emit = [&](const std::string& event) {
+    sep();
     out += "\n";
     out += event;
   };
-  for (const auto& ph : log.phases()) {
+  auto counter = [&](const std::string& name, int pid, Tick at,
+                     const char* arg, double v) {
+    emit(StrFormat("{\"name\":\"%s\",\"ph\":\"C\",\"pid\":%d,\"ts\":%.6f,"
+                   "\"args\":{\"%s\":%s}}",
+                   JsonEscape(name).c_str(), pid, TicksToUs(at), arg,
+                   FormatStatValue(v).c_str()));
+  };
+  for (const Interval& ph : phases.intervals()) {
     // One complete ("X") slice per phase, deltas attached as args.
     std::string ev = StrFormat(
         "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":1,"
         "\"ts\":%.6f,\"dur\":%.6f,\"args\":{",
-        JsonEscape(ph.name).c_str(), TickToUs(ph.start),
-        TickToUs(ph.end) - TickToUs(ph.start));
-    bool farg = true;
-    for (const auto& [k, v] : ph.deltas) {
-      if (!farg) ev += ',';
-      farg = false;
-      ev += '"' + JsonEscape(k) + "\":" + FormatStatValue(v);
-    }
+        JsonEscape(ph.name).c_str(), TicksToUs(ph.start),
+        TicksToUs(ph.end) - TicksToUs(ph.start));
+    AppendItems(ph.deltas, &ev);
     ev += "}}";
     emit(ev);
     // One counter ("C") event per delta so Perfetto draws counter tracks.
-    for (const auto& [k, v] : ph.deltas) {
-      emit(StrFormat(
-          "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"ts\":%.6f,"
-          "\"args\":{\"delta\":%s}}",
-          JsonEscape(k).c_str(), TickToUs(ph.end),
-          FormatStatValue(v).c_str()));
-    }
+    for (const auto& [k, v] : ph.deltas) counter(k, 1, ph.end, "delta", v);
   }
   if (spans != nullptr && !spans->empty()) {
     const std::string events = SpansToChromeEvents(*spans);
     if (!events.empty()) {
-      if (!first) out += ',';
-      first = false;
+      sep();
       out += events;
     }
   }
-  if (!extras.chrome_events.empty()) {
-    if (!first) out += ',';
-    first = false;
-    out += extras.chrome_events;
+  for (const PointWindows& pw : windows) {
+    const std::string prefix = pw.point.empty() ? "" : pw.point + "|";
+    for (const Interval& w : pw.windows->intervals()) {
+      for (const auto& [k, v] : w.deltas) {
+        counter(prefix + "tele:" + k, 3, w.end, "delta", v);
+      }
+      for (const auto& [k, v] : w.gauges) counter(prefix + k, 3, w.end, "value", v);
+    }
   }
   // The empty document must still be strict JSON: "traceEvents":[] with no
   // stray newline inside the array.
@@ -102,42 +166,21 @@ std::string ToChromeTrace(const PhaseLog& log, const TraceExtras& extras) {
   return out;
 }
 
-std::string ToJsonl(const PhaseLog& log) {
-  std::string out;
-  for (const auto& ph : log.phases()) {
-    out += StrFormat("{\"phase\":\"%s\",\"start_ns\":%.3f,\"end_ns\":%.3f,\"deltas\":{",
-                     JsonEscape(ph.name).c_str(), TickToNs(ph.start),
-                     TickToNs(ph.end));
-    bool first = true;
-    for (const auto& [k, v] : ph.deltas) {
-      if (!first) out += ',';
-      first = false;
-      out += '"' + JsonEscape(k) + "\":" + FormatStatValue(v);
-    }
-    out += "}}\n";
-  }
-  return out;
-}
-
-void WriteTrace(const PhaseLog& log, const std::string& path,
-                const SpanLog* spans) {
-  TraceExtras extras;
-  extras.spans = spans;
-  WriteTrace(log, path, extras);
-}
-
-void WriteTrace(const PhaseLog& log, const std::string& path,
-                const TraceExtras& extras) {
+void WriteTrace(const IntervalLog& phases, const std::string& path,
+                const SpanLog* spans,
+                const std::vector<PointWindows>& windows) {
   const bool jsonl =
       path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0;
   std::ofstream f(path, std::ios::binary);
   if (!f) GP_THROW("cannot open metrics output file '", path, "'");
   if (jsonl) {
-    f << ToJsonl(log);
-    if (extras.spans != nullptr) f << SpansToJsonl(*extras.spans);
-    f << extras.jsonl_lines;
+    f << PhasesToJsonl(phases);
+    if (spans != nullptr) f << SpansToJsonl(*spans);
+    for (const PointWindows& pw : windows) {
+      f << WindowsToJsonl(*pw.windows, pw.point);
+    }
   } else {
-    f << ToChromeTrace(log, extras);
+    f << ToChromeTrace(phases, spans, windows);
   }
   if (!f) GP_THROW("failed writing metrics output file '", path, "'");
 }

@@ -34,6 +34,9 @@ constexpr double TicksToNs(Tick t) {
   return static_cast<double>(t) / static_cast<double>(kTicksPerNs);
 }
 
+// Converts Ticks to (fractional) microseconds, the Chrome trace time unit.
+constexpr double TicksToUs(Tick t) { return static_cast<double>(t) / 1e6; }
+
 // The three data components of graph computing identified in Section II-C
 // of the paper. Offloading candidates live in kProperty.
 enum class DataComponent : std::uint8_t {

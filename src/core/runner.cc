@@ -133,24 +133,23 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
   std::uint64_t superstep = 0;
   auto cut_phase = [&](const char* what, Tick end) {
     if (opts.phases == nullptr) return;
+    const StatRegistry merged = MergedStats(mem, cores);
     opts.phases->Cut(
         StrFormat("%s.%llu", what, static_cast<unsigned long long>(superstep)),
-        phase_start, end, MergedStats(mem, cores));
+        phase_start, end, &merged);
     phase_start = end;
   };
 
   // Telemetry windows (DESIGN.md §17): like the flight recorder, the
-  // sampler exists only when the knob is on AND a sink is attached — the
-  // default path never builds one. Gauges read the live machine through
-  // the memory system at each cut.
-  std::unique_ptr<telemetry::WindowSampler> tele;
+  // window policy exists only when the knob is on AND a sink is attached —
+  // the default path never builds one. Gauges read the live machine
+  // through the memory system at each cut.
+  std::unique_ptr<trace::FixedWindows> tele;
   if (opts.timeline != nullptr && cfg.telemetry_window_ns > 0.0) {
-    opts.timeline->Clear();
-    tele = std::make_unique<telemetry::WindowSampler>(
+    *opts.timeline = trace::IntervalLog(cfg.telemetry_max_windows);
+    tele = std::make_unique<trace::FixedWindows>(
         NsToTicks(cfg.telemetry_window_ns), opts.timeline,
-        cfg.telemetry_max_windows,
-        [&mem](Tick ws, Tick we,
-               std::vector<std::pair<std::string, double>>* out) {
+        [&mem](Tick ws, Tick we, trace::Items* out) {
           mem.SampleTelemetryGauges(ws, we, out);
         });
   }
@@ -168,7 +167,8 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
     // Telemetry window cuts key off the round's quantum_end *before* it is
     // updated below.
     if (tele != nullptr && quantum_end >= tele->next_boundary()) {
-      tele->AdvanceTo(quantum_end, MergedStats(mem, cores));
+      const StatRegistry merged = MergedStats(mem, cores);
+      tele->AdvanceTo(quantum_end, &merged);
     }
     bool all_done = true;
     bool any_running = false;
@@ -215,7 +215,10 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
   // before the persist domain is sealed, so pmem.unpersisted_at_end lands
   // in the registry Collect reports and in no telemetry window.
   cut_phase("drain", end_tick);
-  if (tele != nullptr) tele->Finish(end_tick, MergedStats(mem, cores));
+  if (tele != nullptr) {
+    const StatRegistry merged = MergedStats(mem, cores);
+    tele->Finish(end_tick, &merged);
+  }
   if (mem.persist_domain() != nullptr) mem.persist_domain()->Finish(end_tick);
 
   SimResults r = Collect(cfg, end_tick, MergedStats(mem, cores), spans.get());

@@ -20,7 +20,6 @@
 
 #include "common/trace.h"
 #include "core/results.h"
-#include "telemetry/timeline.h"
 #include "core/sim_config.h"
 #include "graph/csr.h"
 #include "graph/generator.h"
@@ -36,8 +35,8 @@ struct RunOptions {
   // When non-null, the run cuts a phase at every BSP superstep boundary
   // (the barrier rendezvous) plus a final drain phase, recording per-phase
   // counter deltas of the whole merged registry. Not reset by the run;
-  // attach a fresh PhaseLog per run.
-  trace::PhaseLog* phases = nullptr;
+  // attach a fresh log per run.
+  trace::IntervalLog* phases = nullptr;
 
   // When non-null AND cfg.trace_sample_rate > 0, receives the run's
   // sampled transaction spans (overwritten, not appended). The recorder
@@ -54,11 +53,12 @@ struct RunOptions {
   pmem::PersistLog* persist = nullptr;
 
   // When non-null AND cfg.telemetry_window_ns > 0, receives the run's
-  // windowed counter/gauge timeline (DESIGN.md §17; cleared first). The
-  // sampler cuts windows at the end of each engine round, keyed off the
-  // round's quantum_end, so the timeline is bit-identical across reruns.
-  // With window_ns == 0 no sampler is built and this stays untouched.
-  telemetry::Timeline* timeline = nullptr;
+  // windowed counter/gauge timeline (DESIGN.md §17; replaced, capped at
+  // cfg.telemetry_max_windows). Windows are cut at the end of each engine
+  // round, keyed off the round's quantum_end, so the timeline is
+  // bit-identical across reruns. With window_ns == 0 no window policy is
+  // built and this stays untouched.
+  trace::IntervalLog* timeline = nullptr;
 };
 
 // THE simulation entry point. Replays `trace` under `cfg` (which is

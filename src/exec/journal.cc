@@ -396,82 +396,48 @@ void JournalWriter::Append(const SweepRow& row) {
   std::fflush(f_);
 }
 
-void JournalWriter::AppendPhases(const SweepRow& row,
-                                 const trace::PhaseLog& log) {
-  if (f_ == nullptr || log.empty()) return;
-  // Sidecar line, keyed by the row's grid coordinates. LoadJournal skips
-  // these by prefix without counting them as dropped, so a phase-annotated
-  // journal resumes exactly like a plain one.
-  std::string s = "{\"phases_for\":{";
+void JournalWriter::AppendSidecar(const char* kind, const SweepRow& row,
+                                  const char* list, const std::string& jsonl) {
+  // Sidecar line, keyed by the row's grid coordinates; its list holds the
+  // lines of `jsonl`, so a sidecar element is byte-equal to the matching
+  // line of the standalone export. LoadJournal skips sidecars by prefix
+  // without counting them as dropped, so an annotated journal resumes
+  // exactly like a plain one.
+  std::string s = "{\"" + std::string(kind) + "\":{";
   s += "\"w\":" + U(row.workload_idx);
   s += ",\"p\":" + U(row.profile_idx);
   s += ",\"c\":" + U(row.config_idx);
-  s += "},\"phases\":[";
+  s += "},\"" + std::string(list) + "\":[";
   bool first = true;
-  for (const trace::PhaseRecord& ph : log.phases()) {
+  for (std::size_t pos = 0; pos < jsonl.size();) {
+    std::size_t nl = jsonl.find('\n', pos);
+    if (nl == std::string::npos) nl = jsonl.size();
     if (!first) s += ',';
     first = false;
-    s += "{\"phase\":\"" + JsonEscape(ph.name) + "\"";
-    s += ",\"start_ns\":" + D(TicksToNs(ph.start));
-    s += ",\"end_ns\":" + D(TicksToNs(ph.end));
-    s += ",\"deltas\":{";
-    for (std::size_t i = 0; i < ph.deltas.size(); ++i) {
-      if (i != 0) s += ',';
-      s += '"' + JsonEscape(ph.deltas[i].first) +
-           "\":" + trace::FormatStatValue(ph.deltas[i].second);
-    }
-    s += "}}";
-  }
-  s += "]}\n";
-  std::fwrite(s.data(), 1, s.size(), f_);
-  std::fflush(f_);
-}
-
-void JournalWriter::AppendSpans(const SweepRow& row,
-                                const trace::SpanLog& log) {
-  if (f_ == nullptr || log.empty()) return;
-  // Same sidecar convention as AppendPhases: keyed by grid coordinates,
-  // skipped by prefix on load.
-  std::string s = "{\"spans_for\":{";
-  s += "\"w\":" + U(row.workload_idx);
-  s += ",\"p\":" + U(row.profile_idx);
-  s += ",\"c\":" + U(row.config_idx);
-  s += "},\"spans\":[";
-  bool first = true;
-  for (const trace::SpanRecord& sp : log.spans) {
-    if (!first) s += ',';
-    first = false;
-    s += trace::SpanToJson(sp);
-  }
-  s += "]}\n";
-  std::fwrite(s.data(), 1, s.size(), f_);
-  std::fflush(f_);
-}
-
-void JournalWriter::AppendTimeline(const SweepRow& row,
-                                   const telemetry::Timeline& tl) {
-  if (f_ == nullptr || tl.empty()) return;
-  // Same sidecar convention as AppendPhases: keyed by grid coordinates,
-  // skipped by prefix on load. Window bodies reuse the telemetry JSONL
-  // renderer so the sidecar and --timeline-out formats stay in lockstep.
-  std::string s = "{\"timeline_for\":{";
-  s += "\"w\":" + U(row.workload_idx);
-  s += ",\"p\":" + U(row.profile_idx);
-  s += ",\"c\":" + U(row.config_idx);
-  s += "},\"windows\":[";
-  const std::string lines = telemetry::ToJsonl(tl);
-  bool first = true;
-  for (std::size_t pos = 0; pos < lines.size();) {
-    std::size_t nl = lines.find('\n', pos);
-    if (nl == std::string::npos) nl = lines.size();
-    if (!first) s += ',';
-    first = false;
-    s.append(lines, pos, nl - pos);
+    s.append(jsonl, pos, nl - pos);
     pos = nl + 1;
   }
   s += "]}\n";
   std::fwrite(s.data(), 1, s.size(), f_);
   std::fflush(f_);
+}
+
+void JournalWriter::AppendPhases(const SweepRow& row,
+                                 const trace::IntervalLog& log) {
+  if (f_ == nullptr || log.empty()) return;
+  AppendSidecar("phases_for", row, "phases", trace::PhasesToJsonl(log));
+}
+
+void JournalWriter::AppendSpans(const SweepRow& row,
+                                const trace::SpanLog& log) {
+  if (f_ == nullptr || log.empty()) return;
+  AppendSidecar("spans_for", row, "spans", trace::SpansToJsonl(log));
+}
+
+void JournalWriter::AppendTimeline(const SweepRow& row,
+                                   const trace::IntervalLog& tl) {
+  if (f_ == nullptr || tl.empty()) return;
+  AppendSidecar("timeline_for", row, "windows", trace::WindowsToJsonl(tl));
 }
 
 void JournalWriter::Close() {
@@ -502,9 +468,9 @@ bool LoadJournal(const std::string& path, JournalData* out) {
       }
       continue;
     }
-    // Sidecar lines ({"phases_for":...}, {"spans_for":...}) are
-    // informational: not rows, not errors — skip without counting them as
-    // dropped.
+    // Sidecar lines ({"phases_for":...}, {"spans_for":...},
+    // {"timeline_for":...}) are informational: not rows, not errors — skip
+    // without counting them as dropped.
     if (line.compare(0, 14, "{\"phases_for\":") == 0) continue;
     if (line.compare(0, 13, "{\"spans_for\":") == 0) continue;
     if (line.compare(0, 16, "{\"timeline_for\":") == 0) continue;

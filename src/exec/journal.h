@@ -22,7 +22,6 @@
 
 #include "common/trace.h"
 #include "exec/sweep.h"
-#include "telemetry/timeline.h"
 
 namespace graphpim::exec {
 
@@ -50,10 +49,11 @@ class JournalWriter {
   void Append(const SweepRow& row);
 
   // Appends a `{"phases_for":{coords},"phases":[...]}` sidecar line with
-  // the row's per-superstep counter deltas. LoadJournal skips sidecar
-  // lines (they are annotations, not rows), so a resume neither needs nor
-  // loses them. No-op when the log is empty.
-  void AppendPhases(const SweepRow& row, const trace::PhaseLog& log);
+  // the row's per-superstep counter deltas, each element a --metrics-out
+  // JSONL phase line. LoadJournal skips sidecar lines (they are
+  // annotations, not rows), so a resume neither needs nor loses them.
+  // No-op when the log is empty.
+  void AppendPhases(const SweepRow& row, const trace::IntervalLog& log);
 
   // Appends a `{"spans_for":{coords},"spans":[...]}` sidecar line with the
   // row's sampled transaction spans (the flight-recorder output under
@@ -62,13 +62,19 @@ class JournalWriter {
   void AppendSpans(const SweepRow& row, const trace::SpanLog& log);
 
   // Appends a `{"timeline_for":{coords},"windows":[...]}` sidecar line
-  // with the row's telemetry windows (telemetry.window_ns > 0). Skipped
-  // by LoadJournal like the other sidecars. No-op on an empty timeline.
-  void AppendTimeline(const SweepRow& row, const telemetry::Timeline& tl);
+  // with the row's telemetry windows (telemetry.window_ns > 0), each
+  // element a --timeline-out line. Skipped by LoadJournal like the other
+  // sidecars. No-op on an empty timeline.
+  void AppendTimeline(const SweepRow& row, const trace::IntervalLog& tl);
 
   void Close();
 
  private:
+  // Writes `{"<kind>":{coords},"<list>":[...]}` whose list elements are
+  // the lines of `jsonl`, and flushes it.
+  void AppendSidecar(const char* kind, const SweepRow& row, const char* list,
+                     const std::string& jsonl);
+
   std::FILE* f_ = nullptr;
 };
 

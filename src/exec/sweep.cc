@@ -1,6 +1,5 @@
 #include "exec/sweep.h"
 
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -61,21 +60,11 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
 
 // Checked numeric parses with the grid key in the diagnostic. These are
 // user errors, so they throw SimError (recoverable) rather than abort.
-// strtoull/strtod alone would wrap a leading '-' to a huge value and stop
-// at an embedded NUL, so both parsers require the whole string to be used.
+// Integers share the CLI's strict ParseUint; strtod alone would stop at
+// an embedded NUL, so the double parser requires the whole string.
 std::uint64_t ParseGridUint(const std::string& key, const std::string& val,
                             std::uint64_t max = ~std::uint64_t{0}) {
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t v = std::strtoull(val.c_str(), &end, 0);
-  if (end == val.c_str() || end != val.c_str() + val.size() ||
-      val.find('-') != std::string::npos) {
-    GP_THROW("grid spec key '", key, "': '", val, "' is not an integer");
-  }
-  if (errno == ERANGE || v > max) {
-    GP_THROW("grid spec key '", key, "': ", val, " is above its maximum ", max);
-  }
-  return v;
+  return ParseUint("grid spec key '" + key + "'", val, max);
 }
 
 double ParseGridDouble(const std::string& key, const std::string& val) {
@@ -197,9 +186,9 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
     std::string error;
     double wall_ms = 0.0;
     int attempts = 1;
-    trace::PhaseLog phases;  // populated only when journaling phases
-    trace::SpanLog spans;    // populated when the config samples spans
-    telemetry::Timeline timeline;  // populated when telemetry.window_ns > 0
+    trace::IntervalLog phases;    // populated only when journaling phases
+    trace::SpanLog spans;         // populated when the config samples spans
+    trace::IntervalLog timeline;  // populated when telemetry.window_ns > 0
   };
 
   // Phase capture costs one registry merge per superstep, so only pay for
@@ -209,6 +198,24 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
   // the recorder runs either way to fold span.* stats, so the only question
   // is whether to keep the log for a journal sidecar.
   const bool journal_open = !opts_.journal_path.empty();
+
+  // Replays config `k` of a built cell with the fault seed derived from
+  // `seed`. The cell path and the watchdog retry both come through here,
+  // so they attach the same instrumentation: phases when the journal
+  // carries them; spans and windows when the config turns them on and a
+  // journal can carry them.
+  auto replay = [&](const core::Experiment& exp, std::uint64_t seed,
+                    std::size_t k, JobOut* out) {
+    core::SimConfig cfg = grid.configs[k];
+    cfg.hmc.fault.seed = fault::DeriveFaultSeed(seed, k);
+    core::RunOptions ro;
+    if (want_phases) ro.phases = &out->phases;
+    if (journal_open && cfg.trace_sample_rate > 0.0) ro.spans = &out->spans;
+    if (journal_open && cfg.telemetry_window_ns > 0.0) {
+      ro.timeline = &out->timeline;
+    }
+    out->results = exp.Run(cfg, ro);
+  };
 
   // Resume: restore journaled rows keyed by flat grid index. The
   // fingerprint gate makes a stale journal (different grid) an error
@@ -323,19 +330,7 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
           // would take its worker thread down): a failed replay becomes a
           // status=kFailed row instead.
           try {
-            core::SimConfig cfg = grid.configs[k];
-            cfg.hmc.fault.seed = fault::DeriveFaultSeed(cell_seed, k);
-            core::RunOptions ro;
-            if (want_phases) ro.phases = &out.phases;
-            if (journal_open && cfg.trace_sample_rate > 0.0) {
-              ro.spans = &out.spans;
-            }
-            // Timeline sidecars follow the span convention: captured when
-            // the journal can carry them and the config turns windows on.
-            if (journal_open && cfg.telemetry_window_ns > 0.0) {
-              ro.timeline = &out.timeline;
-            }
-            out.results = exp->Run(cfg, ro);
+            replay(*exp, cell_seed, k, &out);
           } catch (const std::exception& e) {
             out.error = e.what();
           }
@@ -414,20 +409,10 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
             JobOut r;
             r.attempts = 2;
             try {
-              core::Experiment exp(grid.profiles[pi], grid.vertices,
-                                   grid.workloads[wi],
-                                   MakeExperimentOptions(grid, retry_seed));
-              core::SimConfig cfg = grid.configs[k];
-              cfg.hmc.fault.seed = fault::DeriveFaultSeed(retry_seed, k);
-              core::RunOptions ro;
-              if (want_phases) ro.phases = &r.phases;
-              if (journal_open && cfg.trace_sample_rate > 0.0) {
-                ro.spans = &r.spans;
-              }
-              if (journal_open && cfg.telemetry_window_ns > 0.0) {
-                ro.timeline = &r.timeline;
-              }
-              r.results = exp.Run(cfg, ro);
+              const core::Experiment exp(
+                  grid.profiles[pi], grid.vertices, grid.workloads[wi],
+                  MakeExperimentOptions(grid, retry_seed));
+              replay(exp, retry_seed, k, &r);
             } catch (const std::exception& e) {
               r.error = e.what();
             }

@@ -65,6 +65,12 @@ void ThreadPool::Enqueue(std::shared_ptr<void> owner, detail::TaskCore* core) {
     std::lock_guard<std::mutex> lk(stats_mu_);
     ++stats_.submitted;
   }
+  // A worker that saw queued_ == 0 holds wake_mu_ until it is asleep in
+  // wake_cv_.wait(); passing through the lock orders this notify after
+  // that, so it cannot fall into the gap and be lost (same as Shutdown).
+  {
+    std::lock_guard<std::mutex> lk(wake_mu_);
+  }
   wake_cv_.notify_one();
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <memory>
 #include <mutex>
 
 #include "common/log.h"
@@ -19,10 +20,6 @@ namespace {
 // value-derived from the traffic seed and the batch's first request id, so
 // batch composition — not scheduling — decides the stream.
 constexpr std::uint64_t kBatchSalt = 0x5365727665426174ULL;  // "ServeBat"
-
-double TicksToNsD(Tick t) {
-  return static_cast<double>(t) / static_cast<double>(kTicksPerNs);
-}
 
 // A kind can be in the mix only if the resident graph can serve it: knn
 // needs the shared ANN index, which is a graph-build-time decision. Caught
@@ -87,13 +84,11 @@ ServePoint RunServePoint(const ServedGraph& sg, const ServeParams& params) {
   Tick last_completion = 0;
 
   // --- telemetry windows (DESIGN.md §17) ------------------------------
-  // Half-open [k*W, (k+1)*W) windows over the point's virtual time. Cuts
-  // happen before the first event at-or-past a boundary, so the queue /
-  // in-flight gauges sample the state the machine held as the boundary
-  // passed. Purely value-derived: bit-identical across reruns and --jobs.
-  const Tick win_ticks = params.cfg.telemetry_window_ns > 0.0
-                             ? NsToTicks(params.cfg.telemetry_window_ns)
-                             : 0;
+  // Fixed-width windows over the point's virtual time, fed the time of
+  // each event before it is processed, so the queue / in-flight gauges
+  // sample the state the machine held as the boundary passed. The window
+  // accumulators below drain into the gauges of the window that cuts
+  // them. Purely value-derived: bit-identical across reruns and --jobs.
   struct WinAcc {
     std::uint64_t arrivals = 0, admitted = 0, dropped = 0, completed = 0;
     std::vector<double> lat_ns;
@@ -107,22 +102,12 @@ ServePoint RunServePoint(const ServedGraph& sg, const ServeParams& params) {
     acc.viol.resize(sg.num_tenants());
   };
   reset_acc();
-  pt.timeline.window_ticks = win_ticks;
-  Tick next_cut = win_ticks;
-  auto cut_window = [&](Tick start, Tick end) {
+  auto window_gauges = [&](Tick start, Tick end, trace::Items* out) {
     WinAcc a = std::move(acc);
     reset_acc();
-    if (pt.timeline.windows.size() >= params.cfg.telemetry_max_windows) {
-      ++pt.timeline.dropped_windows;
-      return;
-    }
-    telemetry::TimelineWindow w;
-    w.index = pt.timeline.windows.size();
-    w.start = start;
-    w.end = end;
     std::sort(a.lat_ns.begin(), a.lat_ns.end());
-    const double span_s = TicksToNsD(end - start) * 1e-9;
-    auto& g = w.gauges;
+    const double span_s = TicksToNs(end - start) * 1e-9;
+    trace::Items& g = *out;
     g.emplace_back("serve.arrivals", static_cast<double>(a.arrivals));
     g.emplace_back("serve.admitted", static_cast<double>(a.admitted));
     g.emplace_back("serve.dropped", static_cast<double>(a.dropped));
@@ -146,14 +131,14 @@ ServePoint RunServePoint(const ServedGraph& sg, const ServeParams& params) {
                          : static_cast<double>(a.viol[t]) /
                                static_cast<double>(a.served[t]));
     }
-    pt.timeline.windows.push_back(std::move(w));
   };
-  auto cut_until = [&](Tick t) {
-    while (win_ticks != 0 && next_cut <= t) {
-      cut_window(next_cut - win_ticks, next_cut);
-      next_cut += win_ticks;
-    }
-  };
+  std::unique_ptr<trace::FixedWindows> windows;
+  if (params.cfg.telemetry_window_ns > 0.0) {
+    pt.timeline = trace::IntervalLog(params.cfg.telemetry_max_windows);
+    windows = std::make_unique<trace::FixedWindows>(
+        NsToTicks(params.cfg.telemetry_window_ns), &pt.timeline,
+        window_gauges);
+  }
 
   auto start_batches = [&](Tick now) {
     while (flights.size() < static_cast<std::size_t>(params.slots) &&
@@ -201,17 +186,17 @@ ServePoint RunServePoint(const ServedGraph& sg, const ServeParams& params) {
     // the simultaneously-arriving request.
     if (have_done &&
         (!have_arrival || flights[done_idx].done <= sched[next_arrival].arrival)) {
-      cut_until(flights[done_idx].done);
+      if (windows) windows->AdvanceTo(flights[done_idx].done, nullptr);
       const Flight fl = flights[done_idx];
       flights.erase(flights.begin() + static_cast<std::ptrdiff_t>(done_idx));
       for (std::size_t idx : fl.reqs) {
         const ServeRequest& r = sched[idx];
-        const double ns = TicksToNsD(fl.done - r.arrival);
+        const double ns = TicksToNs(fl.done - r.arrival);
         lat_ns.push_back(ns);
         tenant_lat[r.tenant].push_back(ns);
         ++pt.served;
         ++pt.tenants[r.tenant].served;
-        if (win_ticks != 0) {
+        if (windows) {
           ++acc.completed;
           acc.lat_ns.push_back(ns);
           ++acc.served[r.tenant];
@@ -223,23 +208,25 @@ ServePoint RunServePoint(const ServedGraph& sg, const ServeParams& params) {
     }
     // Arrival event.
     const ServeRequest& r = sched[next_arrival];
-    cut_until(r.arrival);
+    if (windows) windows->AdvanceTo(r.arrival, nullptr);
     ++pt.tenants[r.tenant].offered;
-    if (win_ticks != 0) ++acc.arrivals;
+    if (windows) ++acc.arrivals;
     depth_sum += queue.size();
     if (queue.size() > pt.queue_peak) pt.queue_peak = queue.size();
     if (queue.size() >= params.queue_depth) {
       if (params.drop == DropPolicy::kTail) {
         ++pt.dropped;
         ++pt.tenants[r.tenant].dropped;
-        if (win_ticks != 0) ++acc.dropped;
-        if (win_ticks != 0) ++acc.drops[r.tenant];
+        if (windows) {
+          ++acc.dropped;
+          ++acc.drops[r.tenant];
+        }
       } else {  // head drop: evict the stalest queued request, admit new
         const ServeRequest& victim = sched[queue.front()];
         queue.pop_front();
         ++pt.dropped;
         ++pt.tenants[victim.tenant].dropped;
-        if (win_ticks != 0) {
+        if (windows) {
           ++acc.dropped;
           ++acc.drops[victim.tenant];
           ++acc.admitted;
@@ -248,21 +235,15 @@ ServePoint RunServePoint(const ServedGraph& sg, const ServeParams& params) {
       }
     } else {
       queue.push_back(next_arrival);
-      if (win_ticks != 0) ++acc.admitted;
+      if (windows) ++acc.admitted;
     }
     ++next_arrival;
     start_batches(r.arrival);
   }
   GP_CHECK(queue.empty(), "serve loop ended with queued requests");
-  if (win_ticks != 0) {
-    // Trailing partial window up to the final completion; a run shorter
-    // than one window still yields one (possibly degenerate) window.
-    cut_until(last_completion);
-    const Tick tail_start = next_cut - win_ticks;
-    if (last_completion > tail_start || pt.timeline.windows.empty()) {
-      cut_window(tail_start, last_completion);
-    }
-  }
+  // Trailing partial window up to the final completion; a run shorter
+  // than one window still yields one (possibly degenerate) window.
+  if (windows) windows->Finish(last_completion, nullptr);
 
   // --- SLO accounting -------------------------------------------------
   pt.drop_rate = pt.offered == 0
@@ -281,7 +262,7 @@ ServePoint RunServePoint(const ServedGraph& sg, const ServeParams& params) {
                                   : static_cast<double>(depth_sum) /
                                         static_cast<double>(pt.offered);
   pt.queue_limit = params.queue_depth;
-  pt.horizon_ns = TicksToNsD(last_completion);
+  pt.horizon_ns = TicksToNs(last_completion);
   if (pt.horizon_ns > 0.0) {
     pt.achieved_qps = static_cast<double>(pt.served) / (pt.horizon_ns / 1e9);
     pt.util = busy_ns /

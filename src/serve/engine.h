@@ -24,12 +24,12 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "common/trace.h"
 #include "core/sim_config.h"
 #include "exec/sweep.h"
 #include "exec/thread_pool.h"
 #include "serve/query.h"
 #include "serve/traffic.h"
-#include "telemetry/timeline.h"
 
 namespace graphpim::serve {
 
@@ -102,10 +102,11 @@ struct ServePoint {
   StatRegistry raw;
 
   // Virtual-time telemetry windows (DESIGN.md §17): filled only when
-  // cfg.telemetry_window_ns > 0. Windows carry gauges only (serve.*
-  // per-window arrivals/drops/latency quantiles/queue depth and per-tenant
-  // SLO burn); the batch replays inside a point never build samplers.
-  telemetry::Timeline timeline;
+  // cfg.telemetry_window_ns > 0, capped at cfg.telemetry_max_windows.
+  // Windows carry gauges only (serve.* per-window arrivals/drops/latency
+  // quantiles/queue depth and per-tenant SLO burn); the batch replays
+  // inside a point never cut windows of their own.
+  trace::IntervalLog timeline;
 };
 
 // Runs one point to completion. Pure function; safe to call concurrently

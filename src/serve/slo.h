@@ -51,10 +51,13 @@ KneeSummary FindKnee(const std::vector<ServePoint>& series,
 // Deterministic text, grouped in first-appearance config order.
 std::string FormatKneeSummary(const std::vector<ServePoint>& points);
 
+// A point's name in window tables and trace exports: "<config>@qps=<q>".
+std::string PointName(const ServePoint& p);
+
 // One-line telemetry note for the live heartbeat, from the last window of
 // a point's timeline: "qps=1.2e+06 p99=824us q=3". "" when the timeline
 // has no windows (telemetry off).
-std::string TimelineNote(const telemetry::Timeline& tl);
+std::string TimelineNote(const trace::IntervalLog& tl);
 
 // Deterministic per-point window table (DESIGN.md §17): one row per
 // telemetry window of every point, in point order. "" when no point
@@ -66,7 +69,7 @@ std::string FormatServeTimeline(const std::vector<ServePoint>& points);
 // "<config>@qps=<q>", duration = the point's simulated horizon) whose
 // deltas are exactly that point's registry contribution. Export through
 // trace::WriteTrace like every other tool.
-trace::PhaseLog BuildServePhases(const std::vector<ServePoint>& points);
+trace::IntervalLog BuildServePhases(const std::vector<ServePoint>& points);
 
 }  // namespace graphpim::serve
 

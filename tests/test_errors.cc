@@ -3,6 +3,7 @@
 // simulation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "common/config.h"
@@ -52,6 +53,29 @@ TEST(ErrorPaths, ConfigRejectsNonNumeric) {
   Config cfg;
   cfg.Set("n", "abc");
   ExpectSimError([&] { cfg.GetInt("n", 0); }, "not an integer");
+}
+
+TEST(ErrorPaths, ConfigUintRejectsSignsOverflowAndExcess) {
+  Config cfg;
+  const std::uint64_t u32_max = 4294967295u;
+  auto get = [&](const std::string& v, std::uint64_t max) {
+    cfg.Set("n", v);
+    return cfg.GetUint("n", 0, max);
+  };
+  // strtoull alone would wrap "-5" to 2^64-5 and skip the blank.
+  for (const std::string v : {"-5", "+5", " 5", "5x", "", "0x"}) {
+    ExpectSimError([&] { get(v, u32_max); },
+                   "'" + v + "' is not an unsigned integer");
+  }
+  ExpectSimError([&] { get(std::string("20") + '\0' + "x", u32_max); },
+                 "is not an unsigned integer");
+  ExpectSimError([&] { get("4294967297", u32_max); },
+                 "config key 'n': 4294967297 is above its maximum 4294967295");
+  ExpectSimError([&] { get("99999999999999999999", ~std::uint64_t{0}); },
+                 "is above its maximum");
+  EXPECT_EQ(get("4294967295", u32_max), u32_max);
+  EXPECT_EQ(get("0x10", u32_max), 16u);
+  EXPECT_EQ(cfg.GetUint("absent", 7), 7u);
 }
 
 TEST(ErrorPaths, RegionExhaustionIsFatal) {

@@ -98,6 +98,18 @@ TEST(ThreadPool, CancelWinsOnlyWhilePending) {
   EXPECT_EQ(s.cancelled, 1u);
 }
 
+// Every round leaves the single worker idle, so every Submit has to wake
+// it. A lost wakeup strands the task in the queue; the timed wait turns
+// that into a failure instead of a hang.
+TEST(ThreadPool, SubmitWakesAnIdleWorkerEveryTime) {
+  ThreadPool pool(1);
+  for (int i = 0; i < 20000; ++i) {
+    auto f = pool.Submit([i] { return i; });
+    ASSERT_TRUE(f.WaitFor(10'000.0)) << "task " << i << " was never run";
+    ASSERT_EQ(*f.Get(), i);
+  }
+}
+
 TEST(ThreadPool, CancelPendingSweepsTheQueues) {
   ThreadPool pool(1);
   Gate gate;

@@ -242,10 +242,10 @@ TEST(SpanExport, JsonlLinesAreStrictJson) {
 }
 
 TEST(SpanExport, ChromeTraceWithSpansIsStrictJson) {
-  trace::PhaseLog phases;
+  trace::IntervalLog phases;
   StatRegistry reg;
   reg.Add("hmc.reads", 3.0);
-  phases.Cut("superstep.0", 0, NsToTicks(40), reg);
+  phases.Cut("superstep.0", 0, NsToTicks(40), &reg);
   const trace::SpanLog spans = SmallLog();
   const std::string chrome = trace::ToChromeTrace(phases, &spans);
   EXPECT_TRUE(StrictJson::Valid(chrome)) << chrome;
@@ -259,7 +259,7 @@ TEST(SpanExport, EmptyChromeTraceIsValidAndExact) {
   // Regression: an empty phase log (e.g. --metrics-out on a run with no
   // barrier) must still emit a strict-JSON document with an empty
   // traceEvents array, not a dangling "[\n".
-  trace::PhaseLog empty;
+  trace::IntervalLog empty;
   const std::string chrome = trace::ToChromeTrace(empty);
   EXPECT_EQ(chrome, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[]}\n");
   EXPECT_TRUE(StrictJson::Valid(chrome));
@@ -274,10 +274,10 @@ TEST(SpanExport, EmptyChromeTraceIsValidAndExact) {
 }
 
 TEST(SpanExport, NonEmptyPhaseOnlyTraceIsStrictJson) {
-  trace::PhaseLog phases;
+  trace::IntervalLog phases;
   StatRegistry reg;
   reg.Add("core.insts", 10.0);
-  phases.Cut("superstep.0", 0, NsToTicks(10), reg);
+  phases.Cut("superstep.0", 0, NsToTicks(10), &reg);
   EXPECT_TRUE(StrictJson::Valid(trace::ToChromeTrace(phases)));
 }
 

@@ -1,4 +1,4 @@
-// src/telemetry tests (DESIGN.md §17): WindowSampler boundary math, the
+// Telemetry window tests (DESIGN.md §17): FixedWindows boundary math, the
 // JSONL/Chrome-counter exporters, the sink-required config gate, windowed
 // end-to-end runs (delta conservation, rerun determinism, strict
 // off-identity), serve per-window gauges, the journal timeline sidecar,
@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "common/config.h"
 #include "common/log.h"
 #include "common/stats.h"
+#include "common/trace.h"
 #include "core/report.h"
 #include "core/runner.h"
 #include "core/sim_config.h"
@@ -22,154 +24,174 @@
 #include "serve/engine.h"
 #include "serve/slo.h"
 #include "telemetry/compare.h"
-#include "telemetry/timeline.h"
 
 namespace graphpim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// WindowSampler units.
+// FixedWindows units.
 
-TEST(WindowSampler, CutsAtBoundariesAndAttachesDeltasToFirstWindow) {
+TEST(FixedWindows, CutsAtBoundariesAndAttachesDeltasToFirstWindow) {
   StatRegistry reg;
-  telemetry::Timeline tl;
-  telemetry::WindowSampler ws(100, &tl, 0, {});
+  trace::IntervalLog tl;
+  trace::FixedWindows ws(100, &tl, {});
 
   reg.Add("x", 5.0);
-  ws.AdvanceTo(50, reg);
-  EXPECT_TRUE(tl.windows.empty());  // boundary 100 not reached
+  ws.AdvanceTo(50, &reg);
+  EXPECT_TRUE(tl.empty());  // boundary 100 not reached
   EXPECT_EQ(ws.next_boundary(), 100u);
 
-  ws.AdvanceTo(100, reg);
-  ASSERT_EQ(tl.windows.size(), 1u);
-  EXPECT_EQ(tl.windows[0].index, 0u);
-  EXPECT_EQ(tl.windows[0].start, 0u);
-  EXPECT_EQ(tl.windows[0].end, 100u);
-  ASSERT_EQ(tl.windows[0].deltas.size(), 1u);
-  EXPECT_EQ(tl.windows[0].deltas[0].first, "x");
-  EXPECT_DOUBLE_EQ(tl.windows[0].deltas[0].second, 5.0);
+  ws.AdvanceTo(100, &reg);
+  ASSERT_EQ(tl.intervals().size(), 1u);
+  const trace::Interval& w0 = tl.intervals()[0];
+  EXPECT_EQ(w0.start, 0u);
+  EXPECT_EQ(w0.end, 100u);
+  ASSERT_EQ(w0.deltas.size(), 1u);
+  EXPECT_EQ(w0.deltas[0].first, "x");
+  EXPECT_DOUBLE_EQ(w0.deltas[0].second, 5.0);
 
   // One quantum jumps two boundaries: the accrued delta attaches to the
   // first window of the span, the second stays empty (virtual time inside
   // a quantum is not subdividable after the fact).
   reg.Add("x", 2.0);
-  ws.AdvanceTo(350, reg);
-  ASSERT_EQ(tl.windows.size(), 3u);
-  EXPECT_EQ(tl.windows[1].end, 200u);
-  ASSERT_EQ(tl.windows[1].deltas.size(), 1u);
-  EXPECT_DOUBLE_EQ(tl.windows[1].deltas[0].second, 2.0);
-  EXPECT_TRUE(tl.windows[2].deltas.empty());
+  ws.AdvanceTo(350, &reg);
+  ASSERT_EQ(tl.intervals().size(), 3u);
+  EXPECT_EQ(tl.intervals()[1].end, 200u);
+  ASSERT_EQ(tl.intervals()[1].deltas.size(), 1u);
+  EXPECT_DOUBLE_EQ(tl.intervals()[1].deltas[0].second, 2.0);
+  EXPECT_TRUE(tl.intervals()[2].deltas.empty());
   EXPECT_EQ(ws.next_boundary(), 400u);
 
   // Finish flushes the trailing partial window up to the final tick.
   reg.Add("x", 1.0);
-  ws.Finish(370, reg);
-  ASSERT_EQ(tl.windows.size(), 4u);
-  EXPECT_EQ(tl.windows[3].start, 300u);
-  EXPECT_EQ(tl.windows[3].end, 370u);
-  ASSERT_EQ(tl.windows[3].deltas.size(), 1u);
-  EXPECT_DOUBLE_EQ(tl.windows[3].deltas[0].second, 1.0);
+  ws.Finish(370, &reg);
+  ASSERT_EQ(tl.intervals().size(), 4u);
+  EXPECT_EQ(tl.intervals()[3].start, 300u);
+  EXPECT_EQ(tl.intervals()[3].end, 370u);
+  ASSERT_EQ(tl.intervals()[3].deltas.size(), 1u);
+  EXPECT_DOUBLE_EQ(tl.intervals()[3].deltas[0].second, 1.0);
 
   // Idempotent: a second Finish adds nothing.
-  ws.Finish(370, reg);
-  EXPECT_EQ(tl.windows.size(), 4u);
+  ws.Finish(370, &reg);
+  EXPECT_EQ(tl.intervals().size(), 4u);
 }
 
-TEST(WindowSampler, TelemetryOnAlwaysYieldsAtLeastOneWindow) {
+TEST(FixedWindows, TelemetryOnAlwaysYieldsAtLeastOneWindow) {
   StatRegistry reg;
-  telemetry::Timeline tl;
-  telemetry::WindowSampler ws(1000, &tl, 0, {});
-  ws.Finish(0, reg);  // degenerate run: no tick ever advanced
-  ASSERT_EQ(tl.windows.size(), 1u);
-  EXPECT_EQ(tl.windows[0].start, 0u);
-  EXPECT_EQ(tl.windows[0].end, 0u);
+  trace::IntervalLog tl;
+  trace::FixedWindows ws(1000, &tl, {});
+  ws.Finish(0, &reg);  // degenerate run: no tick ever advanced
+  ASSERT_EQ(tl.intervals().size(), 1u);
+  EXPECT_EQ(tl.intervals()[0].start, 0u);
+  EXPECT_EQ(tl.intervals()[0].end, 0u);
 }
 
-TEST(WindowSampler, GaugeSamplerRunsPerCutInEmissionOrder) {
-  StatRegistry reg;
-  telemetry::Timeline tl;
+TEST(FixedWindows, GaugeSamplerRunsPerCutInEmissionOrder) {
+  trace::IntervalLog tl;
   std::vector<std::pair<Tick, Tick>> seen;
-  telemetry::WindowSampler ws(
-      100, &tl, 0,
-      [&](Tick s, Tick e, std::vector<std::pair<std::string, double>>* out) {
-        seen.emplace_back(s, e);
-        out->emplace_back("z.gauge", 2.0);
-        out->emplace_back("a.gauge", 1.0);  // emission order, NOT sorted
-      });
-  ws.AdvanceTo(200, reg);
-  ws.Finish(250, reg);
-  ASSERT_EQ(tl.windows.size(), 3u);
+  trace::FixedWindows ws(100, &tl, [&](Tick s, Tick e, trace::Items* out) {
+    seen.emplace_back(s, e);
+    out->emplace_back("z.gauge", 2.0);
+    out->emplace_back("a.gauge", 1.0);  // emission order, NOT sorted
+  });
+  // No registry: gauges-only windows (the serve engine's kind).
+  ws.AdvanceTo(200, nullptr);
+  ws.Finish(250, nullptr);
+  ASSERT_EQ(tl.intervals().size(), 3u);
   ASSERT_EQ(seen.size(), 3u);
   EXPECT_EQ(seen[0], (std::pair<Tick, Tick>{0, 100}));
   EXPECT_EQ(seen[2], (std::pair<Tick, Tick>{200, 250}));
-  ASSERT_EQ(tl.windows[0].gauges.size(), 2u);
-  EXPECT_EQ(tl.windows[0].gauges[0].first, "z.gauge");
-  EXPECT_EQ(tl.windows[0].gauges[1].first, "a.gauge");
+  const trace::Interval& w0 = tl.intervals()[0];
+  EXPECT_TRUE(w0.deltas.empty());
+  ASSERT_EQ(w0.gauges.size(), 2u);
+  EXPECT_EQ(w0.gauges[0].first, "z.gauge");
+  EXPECT_EQ(w0.gauges[1].first, "a.gauge");
 }
 
-TEST(WindowSampler, MaxWindowsCapCountsDroppedCuts) {
+TEST(FixedWindows, MaxWindowsCapCountsDroppedCuts) {
   StatRegistry reg;
-  telemetry::Timeline tl;
-  telemetry::WindowSampler ws(100, &tl, 2, {});
-  ws.AdvanceTo(400, reg);  // four boundaries
-  EXPECT_EQ(tl.windows.size(), 2u);
-  EXPECT_EQ(tl.dropped_windows, 2u);
+  trace::IntervalLog tl(2);
+  trace::FixedWindows ws(100, &tl, {});
+  ws.AdvanceTo(400, &reg);  // four boundaries
+  EXPECT_EQ(tl.intervals().size(), 2u);
+  EXPECT_EQ(tl.dropped(), 2u);
+
+  // A cap of 0 means no limit.
+  trace::IntervalLog unbounded(0);
+  trace::FixedWindows all(100, &unbounded, {});
+  all.AdvanceTo(400, &reg);
+  EXPECT_EQ(unbounded.intervals().size(), 4u);
+  EXPECT_EQ(unbounded.dropped(), 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Exporters.
 
-telemetry::Timeline TinyTimeline() {
-  telemetry::Timeline tl;
-  tl.window_ticks = 100;
-  telemetry::TimelineWindow w;
-  w.index = 0;
-  w.start = 0;
-  w.end = 100;
-  w.deltas.emplace_back("core.insts", 42.0);
-  w.gauges.emplace_back("tele.link.occupancy", 0.5);
-  tl.windows.push_back(w);
-  w.index = 1;
-  w.start = 100;
-  w.end = 150;
-  tl.windows.push_back(w);
+trace::IntervalLog TinyTimeline() {
+  trace::IntervalLog tl;
+  trace::FixedWindows ws(NsToTicks(100), &tl, [](Tick, Tick, trace::Items* g) {
+    g->emplace_back("tele.link.occupancy", 0.5);
+  });
+  StatRegistry reg;
+  reg.Add("core.insts", 42.0);
+  ws.AdvanceTo(NsToTicks(100), &reg);
+  ws.Finish(NsToTicks(150), &reg);
   return tl;
 }
 
 TEST(TimelineExport, JsonlCarriesWindowFieldsAndOptionalPoint) {
-  const telemetry::Timeline tl = TinyTimeline();
-  const std::string plain = telemetry::ToJsonl(tl);
-  EXPECT_NE(plain.find("{\"window\":0,\"start_ns\":0.000"), std::string::npos)
-      << plain;
-  EXPECT_NE(plain.find("\"deltas\":{\"core.insts\":42}"), std::string::npos);
-  EXPECT_NE(plain.find("\"gauges\":{\"tele.link.occupancy\":0.5}"),
-            std::string::npos);
-  EXPECT_EQ(plain.find("\"point\""), std::string::npos);
+  const trace::IntervalLog tl = TinyTimeline();
+  const std::string plain = trace::WindowsToJsonl(tl);
+  EXPECT_EQ(plain,
+            "{\"window\":0,\"start_ns\":0.000,\"end_ns\":100.000,"
+            "\"deltas\":{\"core.insts\":42},"
+            "\"gauges\":{\"tele.link.occupancy\":0.5}}\n"
+            "{\"window\":1,\"start_ns\":100.000,\"end_ns\":150.000,"
+            "\"deltas\":{},\"gauges\":{\"tele.link.occupancy\":0.5}}\n");
 
-  const std::string pointed = telemetry::ToJsonl(tl, "GraphPIM@qps=1e6");
-  EXPECT_EQ(pointed.rfind("{\"point\":\"GraphPIM@qps=1e6\",", 0), 0u)
+  const std::string pointed = trace::WindowsToJsonl(tl, "GraphPIM@qps=1e6");
+  EXPECT_EQ(pointed.rfind("{\"point\":\"GraphPIM@qps=1e6\",\"window\":0,", 0),
+            0u)
       << pointed;
-  EXPECT_TRUE(telemetry::ToJsonl(telemetry::Timeline{}).empty());
+  EXPECT_TRUE(trace::WindowsToJsonl(trace::IntervalLog{}).empty());
 }
 
-TEST(TimelineExport, ChromeCounterEventsSpliceAndNamespace) {
-  const telemetry::Timeline tl = TinyTimeline();
-  const std::string ev = telemetry::ChromeCounterEvents(tl);
-  // Splice convention: each event prefixed "\n", events joined ",".
-  EXPECT_EQ(ev.rfind("\n{", 0), 0u) << ev;
-  EXPECT_NE(ev.find("\"ph\":\"C\""), std::string::npos);
+TEST(TimelineExport, ChromeCountersRidePid3AndNamespacePoints) {
+  const trace::IntervalLog tl = TinyTimeline();
+  const trace::IntervalLog no_phases;
+  const std::string ev = trace::ToChromeTrace(no_phases, nullptr, {{"", &tl}});
+  EXPECT_NO_THROW(telemetry::FlattenRunJson(ev)) << ev;
   // Counter deltas get a tele: track prefix; gauges keep their names.
-  EXPECT_NE(ev.find("\"name\":\"tele:core.insts\""), std::string::npos);
-  EXPECT_NE(ev.find("\"name\":\"tele.link.occupancy\""), std::string::npos);
-  const std::string scoped = telemetry::ChromeCounterEvents(tl, "p1|");
+  EXPECT_NE(ev.find("{\"name\":\"tele:core.insts\",\"ph\":\"C\",\"pid\":3,"
+                    "\"ts\":0.100000,\"args\":{\"delta\":42}}"),
+            std::string::npos)
+      << ev;
+  EXPECT_NE(ev.find("\"name\":\"tele.link.occupancy\",\"ph\":\"C\",\"pid\":3,"
+                    "\"ts\":0.150000,\"args\":{\"value\":0.5}"),
+            std::string::npos);
+  // A point prefixes every track of its windows; several points share one
+  // traceEvents array.
+  const std::string scoped =
+      trace::ToChromeTrace(no_phases, nullptr, {{"p1", &tl}, {"p2", &tl}});
+  EXPECT_NO_THROW(telemetry::FlattenRunJson(scoped)) << scoped;
   EXPECT_NE(scoped.find("\"name\":\"p1|tele:core.insts\""), std::string::npos);
-  EXPECT_TRUE(telemetry::ChromeCounterEvents(telemetry::Timeline{}).empty());
+  EXPECT_NE(scoped.find("\"name\":\"p2|tele.link.occupancy\""),
+            std::string::npos);
+  // JSONL output carries the same points as "point" fields.
+  const std::string path = ::testing::TempDir() + "/gp_points.jsonl";
+  trace::WriteTrace(no_phases, path, nullptr, {{"p1", &tl}, {"p2", &tl}});
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(buf.str(),
+            trace::WindowsToJsonl(tl, "p1") + trace::WindowsToJsonl(tl, "p2"));
+  std::remove(path.c_str());
 }
 
 TEST(TimelineExport, RequireSinkGatesOnWindowAndSink) {
-  EXPECT_NO_THROW(telemetry::RequireSink(0.0, false, "hint"));
-  EXPECT_NO_THROW(telemetry::RequireSink(100.0, true, "hint"));
-  EXPECT_THROW(telemetry::RequireSink(100.0, false, "hint"), SimError);
+  EXPECT_NO_THROW(trace::RequireSink(0.0, false, "hint"));
+  EXPECT_NO_THROW(trace::RequireSink(100.0, true, "hint"));
+  EXPECT_THROW(trace::RequireSink(100.0, false, "hint"), SimError);
 }
 
 // ---------------------------------------------------------------------------
@@ -218,7 +240,7 @@ core::Experiment TinyExperiment() {
 
 TEST(TelemetryEndToEnd, WindowDeltasConserveRunTotals) {
   const core::Experiment exp = TinyExperiment();
-  telemetry::Timeline tl;
+  trace::IntervalLog tl;
   core::RunOptions ro;
   ro.timeline = &tl;
   const core::SimResults r = exp.Run(WindowedConfig(2000.0), ro);
@@ -226,12 +248,13 @@ TEST(TelemetryEndToEnd, WindowDeltasConserveRunTotals) {
   ASSERT_FALSE(tl.empty());
   double insts = 0.0;
   double atomics = 0.0;
-  for (std::size_t i = 0; i < tl.windows.size(); ++i) {
-    const telemetry::TimelineWindow& w = tl.windows[i];
-    EXPECT_EQ(w.index, i);
+  const std::vector<trace::Interval>& ws = tl.intervals();
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    const trace::Interval& w = ws[i];
+    EXPECT_TRUE(w.name.empty());  // windows are numbered by position
     EXPECT_LE(w.start, w.end);
     if (i > 0) {
-      EXPECT_EQ(w.start, tl.windows[i - 1].end);
+      EXPECT_EQ(w.start, ws[i - 1].end);
     }
     EXPECT_FALSE(w.gauges.empty());
     EXPECT_EQ(w.gauges[0].first, "tele.pou.inflight");
@@ -249,11 +272,11 @@ TEST(TelemetryEndToEnd, WindowDeltasConserveRunTotals) {
 TEST(TelemetryEndToEnd, TimelineIsBitIdenticalAcrossReruns) {
   const core::Experiment exp = TinyExperiment();
   auto run = [&]() {
-    telemetry::Timeline tl;
+    trace::IntervalLog tl;
     core::RunOptions ro;
     ro.timeline = &tl;
     exp.Run(WindowedConfig(2000.0), ro);
-    return telemetry::ToJsonl(tl);
+    return trace::WindowsToJsonl(tl);
   };
   const std::string first = run();
   ASSERT_FALSE(first.empty());
@@ -262,11 +285,11 @@ TEST(TelemetryEndToEnd, TimelineIsBitIdenticalAcrossReruns) {
 
 TEST(TelemetryEndToEnd, OffIsIdentityAndLeavesTimelineUntouched) {
   const core::Experiment exp = TinyExperiment();
-  telemetry::Timeline tl;
+  trace::IntervalLog tl;
   core::RunOptions ro;
   ro.timeline = &tl;
   const core::SimResults off = exp.Run(WindowedConfig(0.0), ro);
-  EXPECT_TRUE(tl.empty());  // no sampler was ever constructed
+  EXPECT_TRUE(tl.empty());  // no window policy was ever constructed
 
   const core::SimResults plain = exp.Run(WindowedConfig(0.0));
   EXPECT_EQ(core::ToJson(off), core::ToJson(plain));
@@ -317,7 +340,7 @@ TEST(ServeTelemetry, WindowGaugesConservePointTotals) {
   double completed = 0.0;
   double dropped = 0.0;
   bool saw_burn = false;
-  for (const telemetry::TimelineWindow& w : pt.timeline.windows) {
+  for (const trace::Interval& w : pt.timeline.intervals()) {
     EXPECT_TRUE(w.deltas.empty());  // serve windows are gauges-only
     for (const auto& [k, v] : w.gauges) {
       if (k == "serve.arrivals") arrivals += v;
@@ -339,7 +362,7 @@ TEST(ServeTelemetry, WindowGaugesConservePointTotals) {
   const std::string note = serve::TimelineNote(pt.timeline);
   EXPECT_EQ(note.rfind("qps=", 0), 0u) << note;
   EXPECT_NE(note.find("p99="), std::string::npos);
-  EXPECT_TRUE(serve::TimelineNote(telemetry::Timeline{}).empty());
+  EXPECT_TRUE(serve::TimelineNote(trace::IntervalLog{}).empty());
 }
 
 TEST(ServeTelemetry, WindowTableIsJobsInvariantAndOffIsSilent) {
@@ -366,6 +389,30 @@ TEST(ServeTelemetry, WindowTableIsJobsInvariantAndOffIsSilent) {
   const serve::ServePoint pt = serve::RunServePoint(sg, off);
   EXPECT_TRUE(pt.timeline.empty());
   EXPECT_TRUE(serve::FormatServeTimeline({pt}).empty());
+}
+
+TEST(ServeTelemetry, MaxWindowsZeroIsUnbounded) {
+  // telemetry.max_windows=0 means "no limit", as in the simulator, not
+  // "keep nothing".
+  const serve::ServedGraph sg(TinyServedGraph());
+  serve::ServeParams p = WindowedServeParams(2'000.0, 10'000.0);
+  p.cfg.telemetry_max_windows = 1'000'000;
+  const serve::ServePoint capped = serve::RunServePoint(sg, p);
+  p.cfg.telemetry_max_windows = 0;
+  const serve::ServePoint unbounded = serve::RunServePoint(sg, p);
+  ASSERT_GT(capped.timeline.intervals().size(), 1u);
+  EXPECT_EQ(trace::WindowsToJsonl(unbounded.timeline),
+            trace::WindowsToJsonl(capped.timeline));
+  EXPECT_EQ(unbounded.timeline.dropped(), 0u);
+
+  // A real cap keeps the first windows and counts the rest.
+  p.cfg.telemetry_max_windows = 1;
+  const serve::ServePoint one = serve::RunServePoint(sg, p);
+  ASSERT_EQ(one.timeline.intervals().size(), 1u);
+  EXPECT_EQ(one.timeline.dropped(), capped.timeline.intervals().size() - 1);
+  EXPECT_NE(serve::FormatServeTimeline({one}).find("windows past "
+                                                   "telemetry.max_windows"),
+            std::string::npos);
 }
 
 TEST(ServeTelemetry, NegativeSloIsRejected) {
@@ -450,7 +497,7 @@ TEST(CompareEngine, FlattensDocumentsAndJsonl) {
 
   // JSONL lines key by their identity fields.
   const telemetry::FlatRun tl = telemetry::FlattenRunJson(
-      telemetry::ToJsonl(TinyTimeline(), "p1"));
+      trace::WindowsToJsonl(TinyTimeline(), "p1"));
   EXPECT_NE(tl.Find("point.p1.window.0.deltas.core.insts"), nullptr);
   EXPECT_NE(tl.Find("point.p1.window.1.gauges.tele.link.occupancy"), nullptr);
 

@@ -1,5 +1,5 @@
-// Tests for phase-delta capture (trace::PhaseLog), trace export, and the
-// sweep-journal phase sidecar.
+// Tests for phase-delta capture (trace::IntervalLog cut at barriers),
+// trace export, and the sweep-journal phase sidecar.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,46 +12,61 @@
 #include "core/runner.h"
 #include "exec/journal.h"
 #include "exec/sweep.h"
+#include "fault/fault.h"
 
 namespace graphpim {
 namespace {
 
-trace::PhaseLog TwoPhaseLog() {
-  trace::PhaseLog log;
+trace::IntervalLog TwoPhases() {
+  trace::IntervalLog log;
   StatRegistry reg;
   reg.Add("hmc.reads", 10.0);
   reg.Add("core.insts", 100.0);
-  log.Cut("superstep.0", 0, NsToTicks(50.0), reg);
+  log.Cut("superstep.0", 0, NsToTicks(50.0), &reg);
   reg.Add("hmc.reads", 5.0);
-  log.Cut("drain.1", NsToTicks(50.0), NsToTicks(80.0), reg);
+  log.Cut("drain.1", NsToTicks(50.0), NsToTicks(80.0), &reg);
   return log;
 }
 
-TEST(PhaseLog, CutsCarryDeltasNotTotals) {
-  trace::PhaseLog log = TwoPhaseLog();
-  ASSERT_EQ(log.phases().size(), 2u);
-  const trace::PhaseRecord& p0 = log.phases()[0];
+TEST(IntervalLog, PhaseCutsCarryDeltasNotTotals) {
+  trace::IntervalLog log = TwoPhases();
+  ASSERT_EQ(log.intervals().size(), 2u);
+  const trace::Interval& p0 = log.intervals()[0];
   EXPECT_EQ(p0.name, "superstep.0");
   ASSERT_EQ(p0.deltas.size(), 2u);  // name-sorted: core.insts, hmc.reads
   EXPECT_EQ(p0.deltas[0].first, "core.insts");
   EXPECT_DOUBLE_EQ(p0.deltas[0].second, 100.0);
   EXPECT_DOUBLE_EQ(p0.deltas[1].second, 10.0);
   // Second phase: only hmc.reads moved, and by its delta, not its total.
-  const trace::PhaseRecord& p1 = log.phases()[1];
+  const trace::Interval& p1 = log.intervals()[1];
   ASSERT_EQ(p1.deltas.size(), 1u);
   EXPECT_EQ(p1.deltas[0].first, "hmc.reads");
   EXPECT_DOUBLE_EQ(p1.deltas[0].second, 5.0);
 }
 
-TEST(PhaseLog, ChromeTraceAndJsonlFormats) {
-  trace::PhaseLog log = TwoPhaseLog();
+TEST(IntervalLog, NullRegistryCutKeepsTheBaseline) {
+  trace::IntervalLog log;
+  StatRegistry reg;
+  reg.Add("hmc.reads", 10.0);
+  log.Cut("a", 0, 10, &reg);
+  reg.Add("hmc.reads", 3.0);
+  ASSERT_NE(log.Cut("b", 10, 20, nullptr), nullptr);
+  EXPECT_TRUE(log.intervals()[1].deltas.empty());
+  // The next registry cut diffs against "a", so the 3 reads are not lost.
+  log.Cut("c", 20, 30, &reg);
+  ASSERT_EQ(log.intervals()[2].deltas.size(), 1u);
+  EXPECT_DOUBLE_EQ(log.intervals()[2].deltas[0].second, 3.0);
+}
+
+TEST(IntervalLog, PhaseChromeTraceAndJsonlFormats) {
+  trace::IntervalLog log = TwoPhases();
   const std::string chrome = trace::ToChromeTrace(log);
   EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(chrome.find("\"name\":\"superstep.0\""), std::string::npos);
   EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(chrome.find("\"ph\":\"C\""), std::string::npos);
 
-  const std::string jsonl = trace::ToJsonl(log);
+  const std::string jsonl = trace::PhasesToJsonl(log);
   std::istringstream in(jsonl);
   std::string line;
   std::size_t lines = 0;
@@ -65,8 +80,8 @@ TEST(PhaseLog, ChromeTraceAndJsonlFormats) {
   EXPECT_NE(jsonl.find("\"hmc.reads\":5"), std::string::npos);
 }
 
-TEST(PhaseLog, WriteTraceSelectsFormatByExtension) {
-  trace::PhaseLog log = TwoPhaseLog();
+TEST(IntervalLog, WriteTraceSelectsFormatByExtension) {
+  trace::IntervalLog log = TwoPhases();
   const std::string base = ::testing::TempDir() + "/gp_trace_test";
   trace::WriteTrace(log, base + ".jsonl");
   trace::WriteTrace(log, base + ".json");
@@ -84,7 +99,7 @@ TEST(PhaseLog, WriteTraceSelectsFormatByExtension) {
 
 // End to end through the run loop: phases cut at BSP barriers, cover the
 // whole run, and their deltas sum back to the final counter totals.
-TEST(PhaseLog, RunSimulationPhasesSumToTotals) {
+TEST(IntervalLog, RunSimulationPhasesSumToTotals) {
   core::Experiment::Options eo;
   eo.num_threads = 4;
   eo.seed = 3;
@@ -93,17 +108,17 @@ TEST(PhaseLog, RunSimulationPhasesSumToTotals) {
   core::SimConfig sc = core::SimConfig::Scaled(core::Mode::kGraphPim);
   sc.num_cores = 4;
 
-  trace::PhaseLog log;
+  trace::IntervalLog log;
   core::RunOptions ro;
   ro.phases = &log;
   core::SimResults r = exp.Run(sc, ro);
 
   ASSERT_FALSE(log.empty());
   // The final cut is the drain phase; earlier ones are supersteps.
-  EXPECT_EQ(log.phases().back().name.rfind("drain.", 0), 0u);
+  EXPECT_EQ(log.intervals().back().name.rfind("drain.", 0), 0u);
   Tick prev_end = 0;
   double insts = 0.0, reads = 0.0;
-  for (const trace::PhaseRecord& ph : log.phases()) {
+  for (const trace::Interval& ph : log.intervals()) {
     EXPECT_EQ(ph.start, prev_end);  // contiguous coverage
     EXPECT_GE(ph.end, ph.start);
     prev_end = ph.end;
@@ -140,18 +155,38 @@ TEST(Journal, PhaseSidecarLinesAreWrittenAndSkippedOnLoad) {
   exec::SweepResultTable t = exec::SweepRunner(opts).Run(grid);
   ASSERT_EQ(t.failed_rows, 0u);
 
-  // The journal holds header + row + at least one phases_for sidecar.
-  std::ifstream in(path);
+  // The same replay exported through --metrics-out's JSONL writer: the
+  // sidecar's phases must be exactly these lines, comma-joined.
+  const std::uint64_t cell_seed = exec::DeriveCellSeed(grid.base_seed, 0, 0);
+  const core::Experiment exp(grid.profiles[0], grid.vertices,
+                             grid.workloads[0],
+                             exec::MakeExperimentOptions(grid, cell_seed));
+  core::SimConfig cfg = grid.configs[0];
+  cfg.hmc.fault.seed = fault::DeriveFaultSeed(cell_seed, 0);
+  trace::IntervalLog phases;
+  core::RunOptions ro;
+  ro.phases = &phases;
+  exp.Run(cfg, ro);
+  const std::string metrics = ::testing::TempDir() + "/gp_phases_metrics.jsonl";
+  trace::WriteTrace(phases, metrics);
+  std::ifstream mf(metrics);
   std::string line;
+  std::string want;
+  while (std::getline(mf, line)) want += (want.empty() ? "" : ",") + line;
+  ASSERT_NE(want.find("superstep."), std::string::npos);
+  std::remove(metrics.c_str());
+
+  // The journal holds header + row + exactly one phases_for sidecar.
+  std::ifstream in(path);
   std::size_t sidecars = 0;
   while (std::getline(in, line)) {
     if (line.rfind("{\"phases_for\":", 0) == 0) {
       ++sidecars;
-      EXPECT_NE(line.find("\"phases\":["), std::string::npos);
-      EXPECT_NE(line.find("superstep."), std::string::npos);
+      EXPECT_EQ(line, "{\"phases_for\":{\"w\":0,\"p\":0,\"c\":0},\"phases\":[" +
+                          want + "]}");
     }
   }
-  EXPECT_GE(sidecars, 1u);
+  EXPECT_EQ(sidecars, 1u);
 
   // Sidecars are annotations: loading must restore the row and count
   // nothing as dropped.

@@ -39,6 +39,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,7 +47,7 @@
 #include "common/config.h"
 #include "common/log.h"
 #include "common/string_util.h"
-#include "telemetry/timeline.h"
+#include "common/trace.h"
 #include "exec/progress.h"
 #include "exec/sweep.h"
 #include "graph/hnsw_index.h"
@@ -88,7 +89,8 @@ int Run(const Config& cfg) {
   // changes what the graph must host) ----------------------------------
   serve::ServedGraph::Options go;
   go.profile = cfg.GetString("profile", "ldbc");
-  go.num_vertices = static_cast<VertexId>(cfg.GetUint("vertices", 4096));
+  go.num_vertices = static_cast<VertexId>(cfg.GetUint(
+      "vertices", 4096, std::numeric_limits<VertexId>::max()));
   go.num_tenants = static_cast<std::uint32_t>(cfg.GetUint("tenants", 2));
   go.seed = cfg.GetUint("seed", 1);
 
@@ -231,30 +233,24 @@ int Run(const Config& cfg) {
 
   // Telemetry exports: every point's windows, point-prefixed so the tracks
   // (and JSONL lines) of different grid cells stay distinct.
-  trace::TraceExtras extras;
+  std::vector<trace::PointWindows> windows;
   for (const serve::ServePoint& p : res.points) {
-    if (p.timeline.empty()) continue;
-    const std::string pname =
-        StrFormat("%s@qps=%.0f", p.config_name.c_str(), p.qps);
-    const std::string ev =
-        telemetry::ChromeCounterEvents(p.timeline, pname + "|");
-    if (!ev.empty()) {
-      if (!extras.chrome_events.empty()) extras.chrome_events += ',';
-      extras.chrome_events += ev;
-    }
-    extras.jsonl_lines += telemetry::ToJsonl(p.timeline, pname);
+    windows.push_back({serve::PointName(p), &p.timeline});
   }
 
   if (cfg.Has("metrics-out")) {
     const std::string path = cfg.GetString("metrics-out", "");
-    trace::WriteTrace(serve::BuildServePhases(res.points), path, extras);
+    trace::WriteTrace(serve::BuildServePhases(res.points), path, nullptr,
+                      windows);
     std::printf("metrics written to %s\n", path.c_str());
   }
   if (cfg.Has("timeline-out")) {
     const std::string path = cfg.GetString("timeline-out", "");
     std::ofstream f(path, std::ios::binary);
     if (!f) GP_THROW("cannot open timeline output file '", path, "'");
-    f << extras.jsonl_lines;
+    for (const trace::PointWindows& pw : windows) {
+      f << trace::WindowsToJsonl(*pw.windows, pw.point);
+    }
     if (!f) GP_THROW("failed writing timeline output file '", path, "'");
     std::printf("telemetry timeline written to %s\n", path.c_str());
   }

@@ -60,6 +60,7 @@
 #include <exception>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -77,7 +78,6 @@
 #include "graph/region.h"
 #include "pmem/checker.h"
 #include "pmem/crash.h"
-#include "telemetry/timeline.h"
 #include "workloads/fusion.h"
 #include "workloads/trace_io.h"
 #include "workloads/workload.h"
@@ -97,9 +97,9 @@ int RunSweep(const Config& cfg) {
   // Sweep timelines ride the journal as {"timeline_for":...} sidecars, so
   // windows without a journal would silently vanish — reject that.
   for (const core::SimConfig& c : grid.configs) {
-    telemetry::RequireSink(c.telemetry_window_ns, !opts.journal_path.empty(),
-                           "sweep timelines are journal sidecar lines; pass "
-                           "--journal=FILE");
+    trace::RequireSink(c.telemetry_window_ns, !opts.journal_path.empty(),
+                       "sweep timelines are journal sidecar lines; pass "
+                       "--journal=FILE");
   }
   opts.on_progress = [](const exec::SweepProgress& p) {
     std::printf("[%3zu/%3zu] %s/%s/%s  %.0f ms%s\n", p.completed, p.total,
@@ -159,7 +159,8 @@ int RunMain(const Config& cfg) {
   if (cfg.Has("sweep")) return RunSweep(cfg);
   const std::string workload = cfg.GetString("workload", "bfs");
   const std::string profile = cfg.GetString("profile", "ldbc");
-  const auto vertices = static_cast<VertexId>(cfg.GetUint("vertices", 32 * 1024));
+  const auto vertices = static_cast<VertexId>(cfg.GetUint(
+      "vertices", 32 * 1024, std::numeric_limits<VertexId>::max()));
   const std::string mode_arg = cfg.GetString("mode", "all");
 
   core::Experiment::Options opts;
@@ -261,15 +262,15 @@ int RunMain(const Config& cfg) {
   //
   // Phase capture follows the --json convention: the LAST mode in the list
   // is the one whose per-superstep deltas land in --metrics-out.
-  trace::PhaseLog phase_log;
+  trace::IntervalLog phase_log;
   trace::SpanLog span_log;  // last mode's sampled spans, merged into the trace
   const bool want_phases = cfg.Has("metrics-out");
   // Telemetry windows follow the same last-mode convention. Windows on with
   // no sink is a config error (the timeline would silently vanish).
-  telemetry::Timeline timeline;
+  trace::IntervalLog timeline;
   const bool timeline_sink = want_phases || cfg.Has("timeline-out");
-  telemetry::RequireSink(mode_cfgs.front().telemetry_window_ns, timeline_sink,
-                         "pass --metrics-out=FILE and/or --timeline-out=FILE");
+  trace::RequireSink(mode_cfgs.front().telemetry_window_ns, timeline_sink,
+                     "pass --metrics-out=FILE and/or --timeline-out=FILE");
   std::vector<core::SimResults> mode_results(modes.size());
   std::vector<pmem::PersistLog> persist_logs(modes.size());
   // --progress reuses the sweep heartbeat (exec/progress.h): one stderr
@@ -408,27 +409,23 @@ int RunMain(const Config& cfg) {
   }
   if (want_phases) {
     const std::string path = cfg.GetString("metrics-out", "");
-    trace::TraceExtras extras;
-    if (!span_log.empty()) extras.spans = &span_log;
-    extras.chrome_events = telemetry::ChromeCounterEvents(timeline);
-    extras.jsonl_lines = telemetry::ToJsonl(timeline);
-    trace::WriteTrace(phase_log, path, extras);
+    trace::WriteTrace(phase_log, path, &span_log, {{"", &timeline}});
     std::string windows_note;
     if (!timeline.empty()) {
-      windows_note = StrFormat("%zu windows, ", timeline.windows.size());
+      windows_note = StrFormat("%zu windows, ", timeline.intervals().size());
     }
     std::printf("phase metrics (%zu phases, %zu spans, %smode %s) written to %s\n",
-                phase_log.phases().size(), span_log.spans.size(),
+                phase_log.intervals().size(), span_log.spans.size(),
                 windows_note.c_str(), last.mode.c_str(), path.c_str());
   }
   if (cfg.Has("timeline-out")) {
     const std::string path = cfg.GetString("timeline-out", "");
     std::ofstream f(path, std::ios::binary);
     if (!f) GP_THROW("cannot open timeline output file '", path, "'");
-    f << telemetry::ToJsonl(timeline);
+    f << trace::WindowsToJsonl(timeline);
     if (!f) GP_THROW("failed writing timeline output file '", path, "'");
     std::printf("telemetry timeline (%zu windows, mode %s) written to %s\n",
-                timeline.windows.size(), last.mode.c_str(), path.c_str());
+                timeline.intervals().size(), last.mode.c_str(), path.c_str());
   }
   return 0;
 }

@@ -55,10 +55,10 @@
 
 #include "common/config.h"
 #include "common/string_util.h"
+#include "common/trace.h"
 #include "exec/progress.h"
 #include "exec/result_sink.h"
 #include "exec/sweep.h"
-#include "telemetry/timeline.h"
 #include "workloads/workload.h"
 
 using namespace graphpim;
@@ -113,9 +113,9 @@ int Run(const Config& cfg) {
   opts.resume = cfg.GetBool("resume", false);
   opts.journal_phases = cfg.GetBool("journal-phases", false);
   for (const core::SimConfig& c : grid.configs) {
-    telemetry::RequireSink(c.telemetry_window_ns, !opts.journal_path.empty(),
-                           "sweep timelines are journal sidecar lines; pass "
-                           "--journal=FILE");
+    trace::RequireSink(c.telemetry_window_ns, !opts.journal_path.empty(),
+                       "sweep timelines are journal sidecar lines; pass "
+                       "--journal=FILE");
   }
   // Progress heartbeat (off by default so scripted runs stay quiet): the
   // shared src/exec/progress stderr line per retired job, with an ETA
