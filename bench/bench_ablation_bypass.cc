@@ -15,8 +15,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 16 * 1024, 3'000'000);
+void graphpim::bench::AblationBypass(const BenchContext& ctx) {
   PrintHeader("Ablation: cache bypass with/without PIM atomics", ctx);
 
   std::printf("%-8s %12s %12s %12s\n", "workload", "Baseline", "UC-NoPIM",
@@ -36,5 +35,4 @@ int main(int argc, char** argv) {
   }
   std::printf("\nexpected: UC-NoPIM well below 1x (bus-locked atomics);\n"
               "bypass helps only together with PIM-atomic offloading\n");
-  return 0;
 }

@@ -10,8 +10,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 16 * 1024, 4'000'000);
+void graphpim::bench::AblationFpAtomics(const BenchContext& ctx) {
   PrintHeader("Ablation: FP atomic extension (Section III-C)", ctx);
 
   std::printf("%-8s %14s %14s %16s\n", "workload", "GraphPIM+FP", "GraphPIM-noFP",
@@ -37,5 +36,4 @@ int main(int argc, char** argv) {
   }
   std::printf("\nexpected: FP workloads (prank, bc) lose their benefit without\n"
               "the extension; integer workloads (bfs, dc) are unaffected\n");
-  return 0;
 }

@@ -15,8 +15,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 16 * 1024, 4'000'000);
+void graphpim::bench::AblationFusion(const BenchContext& ctx) {
   PrintHeader("Ablation: comparison-block fusion (CAS-if-less)", ctx);
 
   std::printf("%-8s %12s %14s %12s %12s\n", "workload", "GraphPIM", "GraphPIM+fuse",
@@ -55,5 +54,4 @@ int main(int argc, char** argv) {
   }
   std::printf("\nexpected: sssp/ccomp gain from one PIM round trip per relax;\n"
               "bfs (already a single CAS per edge) is unchanged\n");
-  return 0;
 }

@@ -13,8 +13,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 16 * 1024, 4'000'000);
+void graphpim::bench::AblationHybrid(const BenchContext& ctx) {
   PrintHeader("Ablation: hybrid HMC+DRAM property placement", ctx);
 
   const double fractions[] = {0.0, 0.25, 0.5, 0.75, 1.0};
@@ -42,5 +41,4 @@ int main(int argc, char** argv) {
   }
   std::printf("\nexpected: benefit scales with the HMC-resident fraction;\n"
               "0%% degenerates to the baseline (conventional processing)\n");
-  return 0;
 }

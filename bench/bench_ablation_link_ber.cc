@@ -18,8 +18,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 16 * 1024, 4'000'000);
+void graphpim::bench::AblationLinkBer(const BenchContext& ctx) {
   PrintHeader("Ablation: link bit error rate (DESIGN.md §9)", ctx);
 
   const std::vector<double> bers = {0.0, 1e-12, 1e-9, 1e-8, 1e-7, 1e-6};
@@ -56,5 +55,4 @@ int main(int argc, char** argv) {
               "grow with BER and GraphPIM degrades faster than baseline\n"
               "(offloading puts more packets on the link), but keeps its\n"
               "advantage until errors dominate the replay budget\n");
-  return 0;
 }

@@ -10,8 +10,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 16 * 1024, 4'000'000);
+void graphpim::bench::AblationPagePolicy(const BenchContext& ctx) {
   PrintHeader("Ablation: HMC row-buffer policy (open vs closed page)", ctx);
 
   std::printf("%-8s | %-21s | %-21s\n", "", "Baseline cycles", "GraphPIM speedup");
@@ -41,5 +40,4 @@ int main(int argc, char** argv) {
   }
   std::printf("\nexpected: policies within a few percent of each other —\n"
               "scattered property traffic defeats the row buffer either way\n");
-  return 0;
 }

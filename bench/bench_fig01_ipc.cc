@@ -11,9 +11,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, /*default_vertices=*/16 * 1024,
-                                /*default_op_cap=*/6'000'000);
+void graphpim::bench::Fig01Ipc(const BenchContext& ctx) {
   PrintHeader("Fig 1: IPC of graph workloads (baseline machine)", ctx);
 
   std::printf("%-8s %-4s %8s\n", "workload", "cat", "IPC");
@@ -30,5 +28,4 @@ int main(int argc, char** argv) {
                 base.ipc, Bar(base.ipc / 0.7).c_str());
   }
   std::printf("\npaper: GT workloads often below 0.1 IPC; all well below 1\n");
-  return 0;
 }

@@ -11,8 +11,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 16 * 1024, 6'000'000);
+void graphpim::bench::Fig02Breakdown(const BenchContext& ctx) {
   PrintHeader("Fig 2: cycle breakdown + MPKI (baseline machine)", ctx);
 
   std::printf("%-8s %8s %9s %8s %8s | %8s %8s %8s\n", "workload", "backend",
@@ -31,5 +30,4 @@ int main(int argc, char** argv) {
   }
   std::printf("\npaper: backend-caused stalls dominate (>90%% for some GT\n"
               "workloads); caches provide little benefit for GT/DG\n");
-  return 0;
 }

@@ -14,8 +14,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 16 * 1024, 6'000'000);
+void graphpim::bench::Fig04AtomicOverhead(const BenchContext& ctx) {
   PrintHeader("Fig 4: host atomic-instruction overhead (baseline machine)", ctx);
 
   core::SimConfig cfg = ctx.MakeConfig(core::Mode::kBaseline);
@@ -51,5 +50,4 @@ int main(int argc, char** argv) {
   }
   std::printf("%-8s %40.1f%%\n", "average", 100 * sum / n);
   std::printf("\npaper: 29.8%% average degradation, up to 64%% (DCentr)\n");
-  return 0;
 }

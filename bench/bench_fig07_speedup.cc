@@ -11,8 +11,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv);
+void graphpim::bench::Fig07Speedup(const BenchContext& ctx) {
   PrintHeader("Fig 7: speedup over baseline (Baseline / U-PEI / GraphPIM)", ctx);
 
   std::printf("%-8s %8s %8s %10s\n", "workload", "U-PEI", "GraphPIM", "(cycles,B)");
@@ -39,5 +38,4 @@ int main(int argc, char** argv) {
               sum_pim / static_cast<double>(names.size()));
   std::printf("\npaper: GraphPIM avg 1.6x, max 2.4x (PRank); >2x BFS/CComp/DC;\n"
               "       ~1x kCore/TC; GraphPIM > U-PEI by ~20%% on average\n");
-  return 0;
 }

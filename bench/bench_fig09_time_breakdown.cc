@@ -20,8 +20,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 16 * 1024, 6'000'000);
+void graphpim::bench::Fig09TimeBreakdown(const BenchContext& ctx) {
   PrintHeader("Fig 9: normalized execution-time breakdown", ctx);
 
   std::printf("%-8s %-9s %10s %14s %15s %8s\n", "workload", "config", "norm-time",
@@ -69,5 +68,4 @@ int main(int argc, char** argv) {
   }
   std::printf("\npaper: baseline atomic share >50%% for BFS/CComp/DC/PRank\n"
               "(in-core > 30%%, in-cache up to ~20%%); GraphPIM removes it\n");
-  return 0;
 }

@@ -11,8 +11,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv);
+void graphpim::bench::Fig10Missrate(const BenchContext& ctx) {
   PrintHeader("Fig 10: cache miss rate of offloading candidates", ctx);
 
   // Offloading candidates are the PMR (property) accesses — the atomics
@@ -35,5 +34,4 @@ int main(int argc, char** argv) {
                 100 * rate, acc, 100 * base.atomic_miss_rate, Bar(rate).c_str());
   }
   std::printf("\npaper: >80%% for most workloads; kCore/TC/BC lower\n");
-  return 0;
 }

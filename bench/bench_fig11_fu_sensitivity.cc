@@ -12,8 +12,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 16 * 1024, 6'000'000);
+void graphpim::bench::Fig11FuSensitivity(const BenchContext& ctx) {
   PrintHeader("Fig 11: speedup vs PIM FUs per vault (GraphPIM)", ctx);
 
   const std::uint32_t fus[] = {16, 8, 4, 2, 1};
@@ -40,5 +39,4 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   std::printf("\npaper: no noticeable impact down to one FU per vault\n");
-  return 0;
 }

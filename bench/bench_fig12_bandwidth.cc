@@ -12,8 +12,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv);
+void graphpim::bench::Fig12Bandwidth(const BenchContext& ctx) {
   PrintHeader("Fig 12: normalized bandwidth (request/response FLITs)", ctx);
 
   std::printf("%-8s %-9s %9s %9s %9s\n", "workload", "config", "request",
@@ -36,5 +35,4 @@ int main(int argc, char** argv) {
   }
   std::printf("\npaper: ~30%% reduction for the atomic-heavy workloads,\n"
               "mostly from the response side\n");
-  return 0;
 }

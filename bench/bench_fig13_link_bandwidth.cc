@@ -12,8 +12,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 16 * 1024, 6'000'000);
+void graphpim::bench::Fig13LinkBandwidth(const BenchContext& ctx) {
   PrintHeader("Fig 13: sensitivity to HMC link bandwidth", ctx);
 
   const double scales[] = {0.5, 1.0, 2.0};
@@ -44,5 +43,4 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   std::printf("\npaper: both systems insensitive to link bandwidth variations\n");
-  return 0;
 }

@@ -17,8 +17,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 0, 8'000'000);
+void graphpim::bench::Fig14GraphSize(const BenchContext& ctx) {
   PrintHeader("Fig 14: sensitivity to graph size (Table VI family)", ctx);
 
   struct Size {
@@ -77,5 +76,4 @@ int main(int argc, char** argv) {
   }
   std::printf("\npaper: (a) shrinks (negative for BC / small graphs) as data\n"
               "fits the LLC; (b) stays within the large-graph range\n");
-  return 0;
 }

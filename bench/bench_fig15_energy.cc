@@ -11,8 +11,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv);
+void graphpim::bench::Fig15Energy(const BenchContext& ctx) {
   PrintHeader("Fig 15: uncore energy breakdown (normalized to baseline)", ctx);
 
   std::printf("%-8s %-9s %8s %8s %8s %8s %8s %8s\n", "workload", "config",
@@ -41,5 +40,4 @@ int main(int argc, char** argv) {
   std::printf("%-8s %-9s %48s %8.3f\n", "average", "GraphPIM", "", sum / n);
   std::printf("\npaper: ~37%% average uncore energy reduction; links + logic\n"
               "layer dominate HMC energy; FP FU visible only for BC/PRank\n");
-  return 0;
 }

@@ -92,8 +92,7 @@ double Predict(const Counters& c, double aio_posted, double aio_return,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 16 * 1024, 6'000'000);
+void graphpim::bench::Fig16ModelValidation(const BenchContext& ctx) {
   PrintHeader("Fig 16: analytical model vs simulation", ctx);
 
   auto names = workloads::EvalWorkloadNames();
@@ -150,5 +149,4 @@ int main(int argc, char** argv) {
   std::printf("%-8s %21s %7.1f%%\n", "average", "",
               100 * err_sum / static_cast<double>(cs.size()));
   std::printf("\npaper: 7.72%% average error, single digits for most workloads\n");
-  return 0;
 }

@@ -37,8 +37,7 @@ struct AppSpec {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 16 * 1024, 5'000'000);
+void graphpim::bench::Fig17Realworld(const BenchContext& ctx) {
   PrintHeader("Fig 17 + Tables VII/VIII: real-world applications", ctx);
 
   std::printf("Table VII (substituted datasets):\n");
@@ -132,5 +131,4 @@ int main(int argc, char** argv) {
                 results[i].energy);
   }
   std::printf("\npaper: FD 1.5x / 0.68 energy; RS 1.9x / 0.52 energy\n");
-  return 0;
 }

@@ -33,9 +33,7 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, /*default_vertices=*/8192,
-                                /*default_op_cap=*/2'000'000);
+void graphpim::bench::Hnsw(const BenchContext& ctx) {
   PrintHeader("HNSW k-NN on the PMR: build/search timing + offload speedup",
               ctx);
   const workloads::AnnParams ann = ctx.MakeConfig(core::Mode::kGraphPim).ann;
@@ -112,5 +110,4 @@ int main(int argc, char** argv) {
     std::printf("\nworkload recall@%d = %.4f over %d queries\n", ann.k,
                 hw->recall(), ann.queries);
   }
-  return 0;
 }

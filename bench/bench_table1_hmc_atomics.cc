@@ -11,8 +11,7 @@ using namespace graphpim;
 using namespace graphpim::bench;
 using namespace graphpim::hmc;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv);
+void graphpim::bench::Table1HmcAtomics(const BenchContext& ctx) {
   PrintHeader("Table I: HMC 2.0 atomic operations", ctx);
 
   std::printf("%-10s %-14s %6s %8s %10s %10s %12s\n", "op", "category", "bytes",
@@ -53,5 +52,4 @@ int main(int argc, char** argv) {
   }
   std::printf("\n%d base operations (HMC 2.0) + FP extension (Section III-C)\n",
               kNumBaseOps);
-  return 0;
 }

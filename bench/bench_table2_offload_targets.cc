@@ -10,8 +10,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv, 8 * 1024, 2'000'000);
+void graphpim::bench::Table2OffloadTargets(const BenchContext& ctx) {
   PrintHeader("Table II: summary of PIM offloading targets", ctx);
 
   std::printf("%-26s %-28s %-18s %10s\n", "workload", "offloading target",
@@ -33,5 +32,4 @@ int main(int argc, char** argv) {
   run_all({"bfs", "dc", "sssp", "kcore", "ccomp", "tc"});
   std::printf("\nWith the Section III-C FP extension:\n");
   run_all({"bc", "prank"});
-  return 0;
 }

@@ -7,8 +7,7 @@
 using namespace graphpim;
 using namespace graphpim::bench;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv);
+void graphpim::bench::Table3Applicability(const BenchContext& ctx) {
   PrintHeader("Table III: PIM-atomic applicability (GraphBIG workloads)", ctx);
 
   std::printf("%-16s %-26s %-12s %s\n", "category", "workload", "applicable?",
@@ -28,5 +27,4 @@ int main(int argc, char** argv) {
   }
   std::printf("\nFP add/sub extension (Section III-C) additionally enables\n"
               "Betweenness Centrality and Page Rank.\n");
-  return 0;
 }

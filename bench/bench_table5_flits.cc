@@ -8,8 +8,7 @@ using namespace graphpim;
 using namespace graphpim::bench;
 using namespace graphpim::hmc;
 
-int main(int argc, char** argv) {
-  BenchContext ctx = ParseBench(argc, argv);
+void graphpim::bench::Table5Flits(const BenchContext& ctx) {
   PrintHeader("Table V: HMC transaction sizes (FLIT = 128 bit)", ctx);
 
   std::printf("%-24s %10s %10s\n", "type", "request", "response");
@@ -32,5 +31,4 @@ int main(int argc, char** argv) {
   std::printf("\nGraphPIM sub-line UC accesses (8 bytes): read %u+%u, write %u+%u\n",
               ReadRequestFlits(8), ReadResponseFlits(8), WriteRequestFlits(8),
               WriteResponseFlits(8));
-  return 0;
 }

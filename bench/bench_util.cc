@@ -2,21 +2,25 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 namespace graphpim::bench {
 
-BenchContext ParseBench(int argc, char** argv, VertexId default_vertices,
+BenchContext ParseBench(const Config& cfg, VertexId default_vertices,
                         std::uint64_t default_op_cap) {
+  std::vector<std::string> keys = {"vertices", "opcap", "threads",
+                                   "seed",     "profile", "jobs"};
+  for (const std::string& k : core::SimConfig::ConfigKeys()) keys.push_back(k);
+  cfg.RequireKeys(keys);
   BenchContext ctx;
-  ctx.cfg = Config::FromArgs(argc, argv);
-  ctx.vertices =
-      static_cast<VertexId>(ctx.cfg.GetUint("vertices", default_vertices));
-  ctx.full = ctx.cfg.GetBool("full", false);
-  ctx.op_cap = ctx.cfg.GetUint("opcap", default_op_cap);
-  ctx.threads = static_cast<int>(ctx.cfg.GetInt("threads", 16));
-  ctx.seed = ctx.cfg.GetUint("seed", 1);
-  ctx.profile = ctx.cfg.GetString("profile", "ldbc");
-  ctx.jobs = static_cast<int>(ctx.cfg.GetInt("jobs", 0));
+  ctx.cfg = cfg;
+  ctx.vertices = static_cast<VertexId>(cfg.GetUint(
+      "vertices", default_vertices, std::numeric_limits<VertexId>::max()));
+  ctx.op_cap = cfg.GetUint("opcap", default_op_cap);
+  ctx.threads = static_cast<int>(cfg.GetInt("threads", 16));
+  ctx.seed = cfg.GetUint("seed", 1);
+  ctx.profile = cfg.GetString("profile", "ldbc");
+  ctx.jobs = static_cast<int>(cfg.GetInt("jobs", 0));
   return ctx;
 }
 

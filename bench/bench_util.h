@@ -1,4 +1,5 @@
-// Shared harness utilities for the per-figure/table bench binaries.
+// Shared harness utilities for the figure/table benches that graphpim_bench
+// runs by name (bench/graphpim_bench.cc).
 //
 // Every bench accepts the same command-line overrides:
 //   --vertices=N    LDBC-like graph size (default per bench)
@@ -6,9 +7,11 @@
 //   --opcap=N       micro-op sampling cap per run
 //   --threads=N     worker threads (== cores simulated)
 //   --seed=N        generator seed
+//   --profile=P     synthetic graph profile (ldbc, bitcoin, twitter)
 //   --jobs=N        host threads replaying configs in parallel
 //                   (0 = hardware concurrency; results are identical for
 //                   any N — see src/exec determinism contract)
+// plus every machine knob of the SimConfig field table.
 #ifndef GRAPHPIM_BENCH_BENCH_UTIL_H_
 #define GRAPHPIM_BENCH_BENCH_UTIL_H_
 
@@ -25,7 +28,6 @@ namespace graphpim::bench {
 struct BenchContext {
   Config cfg;
   VertexId vertices = 32 * 1024;
-  bool full = false;
   std::uint64_t op_cap = 12'000'000;
   int threads = 16;
   std::uint64_t seed = 1;
@@ -86,16 +88,43 @@ auto ParallelMap(const std::vector<Item>& items, const BenchContext& ctx, F fn)
   return out;
 }
 
-// Parses the common flags; `default_vertices` lets heavyweight sweeps pick
-// a smaller default.
-BenchContext ParseBench(int argc, char** argv, VertexId default_vertices = 32 * 1024,
-                        std::uint64_t default_op_cap = 12'000'000);
+// Reads the common flags out of `cfg` after rejecting any key that is
+// neither a common flag nor a SimConfig knob; `default_vertices` and
+// `default_op_cap` let heavyweight sweeps pick smaller defaults.
+BenchContext ParseBench(const Config& cfg, VertexId default_vertices,
+                        std::uint64_t default_op_cap);
 
 // Prints the standard banner: bench title + Table IV-style machine line.
 void PrintHeader(const std::string& title, const BenchContext& ctx);
 
 // ASCII bar of length proportional to `frac` (clamped to [0, 1.5]).
 std::string Bar(double frac, int width = 40);
+
+// The benches, one per bench_<name>.cc; graphpim_bench.cc maps names to them.
+void Fig01Ipc(const BenchContext& ctx);
+void Fig02Breakdown(const BenchContext& ctx);
+void Fig04AtomicOverhead(const BenchContext& ctx);
+void Fig07Speedup(const BenchContext& ctx);
+void Fig09TimeBreakdown(const BenchContext& ctx);
+void Fig10Missrate(const BenchContext& ctx);
+void Fig11FuSensitivity(const BenchContext& ctx);
+void Fig12Bandwidth(const BenchContext& ctx);
+void Fig13LinkBandwidth(const BenchContext& ctx);
+void Fig14GraphSize(const BenchContext& ctx);
+void Fig15Energy(const BenchContext& ctx);
+void Fig16ModelValidation(const BenchContext& ctx);
+void Fig17Realworld(const BenchContext& ctx);
+void Table1HmcAtomics(const BenchContext& ctx);
+void Table2OffloadTargets(const BenchContext& ctx);
+void Table3Applicability(const BenchContext& ctx);
+void Table5Flits(const BenchContext& ctx);
+void AblationFpAtomics(const BenchContext& ctx);
+void AblationBypass(const BenchContext& ctx);
+void AblationFusion(const BenchContext& ctx);
+void AblationHybrid(const BenchContext& ctx);
+void AblationPagePolicy(const BenchContext& ctx);
+void AblationLinkBer(const BenchContext& ctx);
+void Hnsw(const BenchContext& ctx);
 
 }  // namespace graphpim::bench
 

@@ -1,20 +1,25 @@
 #!/usr/bin/env bash
 # Boundary check for bad CLI input: a corrupt --trace-in file, a malformed
-# or non-numeric flag, or an unknown option must be rejected with a one-line
-# `graphpim_sim: error: ...` (SimError caught at main, exit 1), never a
-# `fatal:` exit or an abort deep inside Config, the loader or the replay.
+# or non-numeric flag, an unknown option or an unwritable output path must
+# be rejected with a one-line `graphpim_sim: error: ...` (SimError caught at
+# main, exit 1), never a `fatal:` exit or an abort deep inside Config, the
+# loader or the replay. Output paths are checked before any replay.
 #
 # Saves a small trace, damages one field per case, and replays each copy;
-# then runs each bad flag on its own.
+# then runs each bad flag on its own, on graphpim_sim and then on
+# graphpim_sweep.
 #
-# Usage: scripts/trace_in_smoke.sh [path/to/graphpim_sim]
+# Usage: scripts/trace_in_smoke.sh [path/to/graphpim_sim] [path/to/graphpim_sweep]
 set -u
 
 SIM="${1:-build/tools/graphpim_sim}"
-if [[ ! -x "$SIM" ]]; then
-  echo "trace_in_smoke: $SIM not found or not executable" >&2
-  exit 1
-fi
+SWEEP="${2:-build/tools/graphpim_sweep}"
+for bin in "$SIM" "$SWEEP"; do
+  if [[ ! -x "$bin" ]]; then
+    echo "trace_in_smoke: $bin not found or not executable" >&2
+    exit 1
+  fi
+done
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/graphpim_trace_in.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
@@ -57,13 +62,13 @@ check bad_comp 33 ff "stream 0 record 0 .*out of range"
 check bad_aop 34 ff "stream 0 record 0 .*out of range"
 check extra_barrier 32 05 "barriers"
 
-reject() {  # name, error text, graphpim_sim arguments...
-  local name="$1" want="$2"
+reject() {  # name, error text, arguments... (run by $BIN, default $SIM)
+  local name="$1" want="$2" bin="${BIN:-$SIM}"
   shift 2
-  "$SIM" "$@" > /dev/null 2> "$WORK/$name.err"
+  "$bin" "$@" > "$WORK/$name.out" 2> "$WORK/$name.err"
   local rc=$?
   if [[ $rc -ne 1 ]] || [[ "$(wc -l < "$WORK/$name.err")" -ne 1 ]] ||
-      ! grep -q "^graphpim_sim: error: .*$want" "$WORK/$name.err"; then
+      ! grep -q "^$(basename "$bin"): error: .*$want" "$WORK/$name.err"; then
     echo "trace_in_smoke: FAIL — $name: exit $rc, stderr:" >&2
     cat "$WORK/$name.err" >&2
     fail=1
@@ -83,4 +88,32 @@ reject negative "'-5' is not an unsigned integer" --vertices=-5 --opcap=1000
 reject too_many_vertices "4294967297 is above its maximum 4294967295" \
     --vertices=4294967297 --opcap=1000
 reject unknown_option "unknown option '--shards'" --shards=4
+reject sweep_flag "unknown option '--sweep'" --sweep='workloads=bfs'
+reject single_run_csv "unknown option '--csv'" --csv="$WORK/out.csv"
+reject jobs_overflow "99999999999999999999 is out of range" \
+    --jobs=99999999999999999999
+reject jobs_wrap "4294967297 is out of range" --jobs=4294967297
+
+# An unwritable output path must fail before the run starts: the driver
+# prints its first stdout line only once the graph is built.
+reject_early() {  # as reject, and nothing may reach stdout
+  reject "$@"
+  if [[ -s "$WORK/$1.out" ]]; then
+    echo "trace_in_smoke: FAIL — $1: the run started before the error" >&2
+    fail=1
+  fi
+}
+NODIR="$WORK/no_such_dir"
+for sink in json metrics-out timeline-out; do
+  reject_early "sim_$sink" "config key '$sink': cannot open '$NODIR/out'" \
+      "${ARGS[@]}" --$sink="$NODIR/out"
+done
+for sink in json csv det-csv; do
+  BIN="$SWEEP" reject_early "sweep_$sink" \
+      "config key '$sink': cannot open '$NODIR/out'" \
+      --workloads=bfs --vertices=1024 --opcap=20000 --threads=4 \
+      --modes=baseline --jobs=1 --$sink="$NODIR/out"
+done
+BIN="$SWEEP" reject sweep_jobs_overflow "99999999999999999999 is out of range" \
+    --jobs=99999999999999999999
 exit $fail

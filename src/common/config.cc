@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/log.h"
@@ -34,17 +35,6 @@ std::string Config::GetString(const std::string& key, const std::string& def) co
   return it == values_.end() ? def : it->second;
 }
 
-std::int64_t Config::GetInt(const std::string& key, std::int64_t def) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  char* end = nullptr;
-  std::int64_t v = std::strtoll(it->second.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0') {
-    GP_THROW("config key '", key, "': '", it->second, "' is not an integer");
-  }
-  return v;
-}
-
 std::uint64_t ParseUint(const std::string& what, const std::string& val,
                         std::uint64_t max) {
   char* end = nullptr;
@@ -60,6 +50,31 @@ std::uint64_t ParseUint(const std::string& what, const std::string& val,
     GP_THROW(what, ": ", val, " is above its maximum ", max);
   }
   return v;
+}
+
+std::int64_t ParseInt(const std::string& what, const std::string& val,
+                      std::int64_t min, std::int64_t max) {
+  char* end = nullptr;
+  errno = 0;
+  const std::int64_t v = std::strtoll(val.c_str(), &end, 0);
+  // As in ParseUint: no blank or '+' before the digits, nothing after them.
+  const std::size_t digit = !val.empty() && val[0] == '-' ? 1 : 0;
+  if (val.size() <= digit ||
+      std::isdigit(static_cast<unsigned char>(val[digit])) == 0 ||
+      end != val.c_str() + val.size()) {
+    GP_THROW(what, ": '", val, "' is not an integer");
+  }
+  if (errno == ERANGE || v < min || v > max) {
+    GP_THROW(what, ": ", val, " is out of range [", min, ", ", max, "]");
+  }
+  return v;
+}
+
+std::int64_t Config::GetInt(const std::string& key, std::int64_t def,
+                            std::int64_t min, std::int64_t max) const {
+  auto it = values_.find(key);
+  if (it == values_.end()) return def;
+  return ParseInt("config key '" + key + "'", it->second, min, max);
 }
 
 std::uint64_t Config::GetUint(const std::string& key, std::uint64_t def,
@@ -106,6 +121,19 @@ void Config::RequireKeys(const std::vector<std::string>& accepted) const {
       }
       GP_THROW("unknown option '--", key, "' (accepted: ", list, ")");
     }
+  }
+}
+
+void Config::RequireWritable(const std::vector<std::string>& keys) const {
+  for (const std::string& key : keys) {
+    auto it = values_.find(key);
+    if (it == values_.end()) continue;
+    std::FILE* f = std::fopen(it->second.c_str(), "a");
+    if (f == nullptr) {
+      GP_THROW("config key '", key, "': cannot open '", it->second,
+               "' for writing");
+    }
+    std::fclose(f);
   }
 }
 

@@ -7,6 +7,7 @@
 #define GRAPHPIM_COMMON_CONFIG_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,6 +20,11 @@ namespace graphpim {
 // starting with `what` (e.g. "config key 'vertices'") otherwise.
 std::uint64_t ParseUint(const std::string& what, const std::string& val,
                         std::uint64_t max = ~std::uint64_t{0});
+
+// Signed twin of ParseUint: all of `val` must be one integer (an optional
+// leading '-', then decimal, 0x hex or 0 octal digits) in [min, max].
+std::int64_t ParseInt(const std::string& what, const std::string& val,
+                      std::int64_t min, std::int64_t max);
 
 class Config {
  public:
@@ -36,7 +42,11 @@ class Config {
   // Typed getters returning `def` when the key is absent. Malformed values
   // throw SimError (user error).
   std::string GetString(const std::string& key, const std::string& def) const;
-  std::int64_t GetInt(const std::string& key, std::int64_t def) const;
+  // GetInt parses strictly (see ParseInt); the default range is that of
+  // int, the type every integer flag is stored in.
+  std::int64_t GetInt(const std::string& key, std::int64_t def,
+                      std::int64_t min = std::numeric_limits<int>::min(),
+                      std::int64_t max = std::numeric_limits<int>::max()) const;
   // GetUint parses strictly (see ParseUint) and rejects values above `max`.
   std::uint64_t GetUint(const std::string& key, std::uint64_t def,
                         std::uint64_t max = ~std::uint64_t{0}) const;
@@ -48,6 +58,12 @@ class Config {
   // Drivers call this right after FromArgs so a typo'd flag produces an
   // actionable diagnostic instead of being silently ignored.
   void RequireKeys(const std::vector<std::string>& accepted) const;
+
+  // Opens, without truncating, the file named by each of `keys` that is
+  // present; throws SimError naming the key and path if one cannot be
+  // opened for writing. Drivers call this before the first replay, so a
+  // bad output path fails at once instead of after the whole run.
+  void RequireWritable(const std::vector<std::string>& keys) const;
 
   // All key/value pairs in key order (for reproducibility banners).
   std::vector<std::pair<std::string, std::string>> Items() const;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/log.h"
 #include "common/string_util.h"
 #include "core/report.h"
 
@@ -49,13 +50,12 @@ std::string CsvBody(const SweepResultTable& t, bool with_timing) {
   return out;
 }
 
-bool WriteFile(const std::string& content, const std::string& path) {
+void WriteFile(const std::string& content, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
+  if (f == nullptr) GP_THROW("cannot open '", path, "' for writing");
   const bool ok =
       std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  std::fclose(f);
-  return ok;
+  if (std::fclose(f) != 0 || !ok) GP_THROW("cannot write '", path, "'");
 }
 
 }  // namespace
@@ -107,16 +107,16 @@ std::string ToDeterministicCsv(const SweepResultTable& t) {
   return CsvBody(t, false);
 }
 
-bool WriteJson(const SweepResultTable& t, const std::string& path) {
-  return WriteFile(ToJson(t), path);
+void WriteJson(const SweepResultTable& t, const std::string& path) {
+  WriteFile(ToJson(t), path);
 }
 
-bool WriteCsv(const SweepResultTable& t, const std::string& path) {
-  return WriteFile(ToCsv(t), path);
+void WriteCsv(const SweepResultTable& t, const std::string& path) {
+  WriteFile(ToCsv(t), path);
 }
 
-bool WriteDeterministicCsv(const SweepResultTable& t, const std::string& path) {
-  return WriteFile(ToDeterministicCsv(t), path);
+void WriteDeterministicCsv(const SweepResultTable& t, const std::string& path) {
+  WriteFile(ToDeterministicCsv(t), path);
 }
 
 }  // namespace graphpim::exec

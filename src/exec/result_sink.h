@@ -27,9 +27,11 @@ std::string ToCsv(const SweepResultTable& table);
 // compared across job counts.
 std::string ToDeterministicCsv(const SweepResultTable& table);
 
-bool WriteJson(const SweepResultTable& table, const std::string& path);
-bool WriteCsv(const SweepResultTable& table, const std::string& path);
-bool WriteDeterministicCsv(const SweepResultTable& table, const std::string& path);
+// Write the serializations above to `path`; throw SimError naming the path
+// if it cannot be written.
+void WriteJson(const SweepResultTable& table, const std::string& path);
+void WriteCsv(const SweepResultTable& table, const std::string& path);
+void WriteDeterministicCsv(const SweepResultTable& table, const std::string& path);
 
 }  // namespace graphpim::exec
 

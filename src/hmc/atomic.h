@@ -8,7 +8,8 @@
 //
 // Section III-C of the paper proposes extending the set with floating-point
 // add/sub; those extension ops are included here behind an "extension"
-// marker so the evaluation can ablate them (bench_ablation_fp_atomics).
+// marker so the evaluation can ablate them
+// (`graphpim_bench ablation_fp_atomics`).
 #ifndef GRAPHPIM_HMC_ATOMIC_H_
 #define GRAPHPIM_HMC_ATOMIC_H_
 

@@ -78,6 +78,29 @@ TEST(ErrorPaths, ConfigUintRejectsSignsOverflowAndExcess) {
   EXPECT_EQ(cfg.GetUint("absent", 7), 7u);
 }
 
+TEST(ErrorPaths, ConfigIntRejectsOverflowAndExcess) {
+  Config cfg;
+  auto get = [&](const std::string& v) {
+    cfg.Set("jobs", v);
+    return cfg.GetInt("jobs", 0);
+  };
+  // strtoll alone would clamp the first to INT64_MAX (then -1 as an int)
+  // and the int cast would wrap the second to 1.
+  ExpectSimError([&] { get("99999999999999999999"); },
+                 "config key 'jobs': 99999999999999999999 is out of range");
+  ExpectSimError([&] { get("4294967297"); },
+                 "4294967297 is out of range [-2147483648, 2147483647]");
+  for (const std::string v : {"+5", " 5", "5x", "", "-", "--5", "0x"}) {
+    ExpectSimError([&] { get(v); }, "'" + v + "' is not an integer");
+  }
+  EXPECT_EQ(get("-7"), -7);
+  EXPECT_EQ(get("2147483647"), 2147483647);
+  EXPECT_EQ(get("0x10"), 16);
+  cfg.Set("n", "-1");
+  ExpectSimError([&] { cfg.GetInt("n", 0, 0, 8); },
+                 "config key 'n': -1 is out of range [0, 8]");
+}
+
 TEST(ErrorPaths, RegionExhaustionIsFatal) {
   graph::Region r(0, 128);
   r.Allocate(100);

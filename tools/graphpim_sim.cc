@@ -30,24 +30,15 @@
 //                                           # windows are also merged into
 //                                           # --metrics-out as counter tracks
 //
-// Sweep mode (runs a whole job matrix instead of a single experiment; see
-// src/exec/sweep.h for the grid-spec syntax and determinism contract).
-// num_cubes accepts a comma list for cube-scaling sweeps
-// (--sweep='workloads=bfs;modes=graphpim;hmc.num_cubes=1,2,4,8'):
-//
-//   graphpim_sim --sweep='workloads=bfs,prank;modes=all;vertices=16384'
-//                [--jobs=N] [--json=out.json] [--csv=out.csv]
-//                [--journal=rows.jsonl] [--resume=0] [--timeout-ms=0]
-//                [--journal-phases=0]  # phase-delta sidecar lines in journal
-//
-// Fault injection (src/fault; DESIGN.md §9): single-run mode accepts
+// Fault injection (src/fault; DESIGN.md §9):
 //   [--link-ber=1e-12] [--vault-stall-ppm=50] [--poison-ppm=5]
 //   [--max-retries=3] [--retry-ns=8]
-// and sweep mode takes the same knobs as grid-spec keys (link_ber=...).
+//
+// Grids of runs are graphpim_sweep's job (tools/graphpim_sweep.cc).
 //
 // Persistent PMR (src/pmem; DESIGN.md §14): with --pmem-enable=1 the
 // persist-capable workloads (gup, tmorph) generate flush/fence discipline,
-// the persist-ordering checker runs over the trace, and single-run mode
+// the persist-ordering checker runs over the trace, and the driver
 // additionally accepts
 //   [--pmem-flush-ns=40] [--pmem-fence-ns=20]
 //   [--pmem-crash-tick=NS]    # one crash/recovery evaluation at NS
@@ -71,7 +62,6 @@
 #include "core/report.h"
 #include "core/runner.h"
 #include "exec/progress.h"
-#include "exec/result_sink.h"
 #include "exec/sweep.h"
 #include "exec/thread_pool.h"
 #include "fault/fault.h"
@@ -86,77 +76,17 @@ using namespace graphpim;
 
 namespace {
 
-int RunSweep(const Config& cfg) {
-  exec::SweepGrid grid = exec::ParseGridSpec(cfg.GetString("sweep", ""));
-  exec::SweepRunner::Options opts;
-  opts.jobs = static_cast<int>(cfg.GetInt("jobs", 0));
-  opts.job_timeout_ms = cfg.GetDouble("timeout-ms", 0.0);
-  opts.journal_path = cfg.GetString("journal", "");
-  opts.resume = cfg.GetBool("resume", false);
-  opts.journal_phases = cfg.GetBool("journal-phases", false);
-  // Sweep timelines ride the journal as {"timeline_for":...} sidecars, so
-  // windows without a journal would silently vanish — reject that.
-  for (const core::SimConfig& c : grid.configs) {
-    trace::RequireSink(c.telemetry_window_ns, !opts.journal_path.empty(),
-                       "sweep timelines are journal sidecar lines; pass "
-                       "--journal=FILE");
-  }
-  opts.on_progress = [](const exec::SweepProgress& p) {
-    std::printf("[%3zu/%3zu] %s/%s/%s  %.0f ms%s\n", p.completed, p.total,
-                p.workload.c_str(), p.profile.c_str(), p.config_name.c_str(),
-                p.wall_ms,
-                p.status == exec::JobStatus::kOk ? "" : "  FAILED");
-  };
-  std::printf("graphpim_sim sweep: %zu jobs (%zu cells x %zu configs)\n\n",
-              grid.NumJobs(), grid.NumCells(), grid.configs.size());
-  exec::SweepResultTable table = exec::SweepRunner(opts).Run(grid);
-
-  std::printf("\n%-8s %-8s %-10s %14s %10s %10s\n", "workload", "profile",
-              "config", "cycles", "IPC", "speedup");
-  for (const exec::SweepRow& r : table.rows) {
-    if (r.status != exec::JobStatus::kOk) {
-      std::printf("%-8s %-8s %-10s FAILED: %s\n", r.workload.c_str(),
-                  r.profile.c_str(), r.config_name.c_str(), r.error.c_str());
-      continue;
-    }
-    std::printf("%-8s %-8s %-10s %14llu %10.4f %9.2fx\n", r.workload.c_str(),
-                r.profile.c_str(), r.config_name.c_str(),
-                static_cast<unsigned long long>(r.results.cycles), r.results.ipc,
-                table.SpeedupVsFirstConfig(r));
-  }
-  if (table.failed_rows > 0) {
-    std::printf("\n%zu of %zu rows FAILED\n", table.failed_rows,
-                table.rows.size());
-  }
-  std::printf("\nwall: %.0f ms total | job p50 %.0f ms p95 %.0f ms\n",
-              table.total_wall_ms, table.job_wall_ms.Percentile(50),
-              table.job_wall_ms.Percentile(95));
-  if (cfg.Has("json")) {
-    GP_CHECK(exec::WriteJson(table, cfg.GetString("json", "")),
-             "cannot write JSON");
-    std::printf("JSON written to %s\n", cfg.GetString("json", "").c_str());
-  }
-  if (cfg.Has("csv")) {
-    GP_CHECK(exec::WriteCsv(table, cfg.GetString("csv", "")),
-             "cannot write CSV");
-    std::printf("CSV written to %s\n", cfg.GetString("csv", "").c_str());
-  }
-  return table.failed_rows > 0 ? 2 : 0;
-}
-
 int RunMain(const Config& cfg) {
   // Driver-specific flags plus every machine knob SimConfig::FromConfig
   // accepts (both spellings) — the flag surface tracks the field table.
   std::vector<std::string> keys = {
-      "sweep",      "workload",  "profile",        "vertices",
-      "mode",       "seed",      "opcap",          "fuse",
-      "jobs",       "json",      "csv",            "metrics-out",
-      "trace-out",  "trace-in",  "journal",        "resume",
-      "timeout-ms", "journal-phases", "crash-sweep", "pmem-mutant",
-      "progress",   "timeline-out"};
+      "workload",    "profile",     "vertices",  "mode",
+      "seed",        "opcap",       "fuse",      "jobs",
+      "json",        "metrics-out", "trace-out", "trace-in",
+      "crash-sweep", "pmem-mutant", "progress",  "timeline-out"};
   for (const std::string& k : core::SimConfig::ConfigKeys()) keys.push_back(k);
   cfg.RequireKeys(keys);
-  if (cfg.Has("sweep")) return RunSweep(cfg);
+  cfg.RequireWritable({"json", "metrics-out", "timeline-out"});
   const std::string workload = cfg.GetString("workload", "bfs");
   const std::string profile = cfg.GetString("profile", "ldbc");
   const auto vertices = static_cast<VertexId>(cfg.GetUint(
@@ -404,7 +334,10 @@ int RunMain(const Config& cfg) {
   }
 
   if (cfg.Has("json")) {
-    GP_CHECK(core::WriteJson(last, cfg.GetString("json", "")), "cannot write JSON");
+    if (!core::WriteJson(last, cfg.GetString("json", ""))) {
+      GP_THROW("config key 'json': cannot write '", cfg.GetString("json", ""),
+               "'");
+    }
     std::printf("JSON written to %s\n", cfg.GetString("json", "").c_str());
   }
   if (want_phases) {
