@@ -41,14 +41,14 @@ std::vector<core::SimResults> RunGrid(const core::Experiment& exp,
     for (const core::SimConfig& cfg : cfgs) out.push_back(exp.Run(cfg));
     return out;
   }
-  std::vector<exec::TaskFuture<core::SimResults>> futs;
+  std::vector<std::future<core::SimResults>> futs;
   futs.reserve(cfgs.size());
   for (const core::SimConfig& cfg : cfgs) {
     futs.push_back(pool.Submit([&exp, cfg] { return exp.Run(cfg); }));
   }
   std::vector<core::SimResults> out;
   out.reserve(cfgs.size());
-  for (auto& f : futs) out.push_back(*f.Get());
+  for (auto& f : futs) out.push_back(f.get());
   return out;
 }
 

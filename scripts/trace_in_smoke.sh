@@ -6,15 +6,17 @@
 # loader or the replay. Output paths are checked before any replay.
 #
 # Saves a small trace, damages one field per case, and replays each copy;
-# then runs each bad flag on its own, on graphpim_sim and then on
-# graphpim_sweep.
+# then runs each bad flag on its own, on graphpim_sim, graphpim_sweep and
+# graphpim_serve.
 #
-# Usage: scripts/trace_in_smoke.sh [path/to/graphpim_sim] [path/to/graphpim_sweep]
+# Usage: scripts/trace_in_smoke.sh [path/to/graphpim_sim]
+#            [path/to/graphpim_sweep] [path/to/graphpim_serve]
 set -u
 
 SIM="${1:-build/tools/graphpim_sim}"
 SWEEP="${2:-build/tools/graphpim_sweep}"
-for bin in "$SIM" "$SWEEP"; do
+SERVE="${3:-build/tools/graphpim_serve}"
+for bin in "$SIM" "$SWEEP" "$SERVE"; do
   if [[ ! -x "$bin" ]]; then
     echo "trace_in_smoke: $bin not found or not executable" >&2
     exit 1
@@ -116,4 +118,12 @@ for sink in json csv det-csv; do
 done
 BIN="$SWEEP" reject sweep_jobs_overflow "99999999999999999999 is out of range" \
     --jobs=99999999999999999999
+BIN="$SWEEP" reject sweep_timeout_ms "unknown option '--timeout-ms'" \
+    --timeout-ms=5
+for sink in metrics-out timeline-out; do
+  BIN="$SERVE" reject_early "serve_$sink" \
+      "config key '$sink': cannot open '$NODIR/out' for writing" \
+      --vertices=1024 --requests=8 --qps-grid=1e6 --jobs=1 \
+      --$sink="$NODIR/out"
+done
 exit $fail

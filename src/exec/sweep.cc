@@ -3,6 +3,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -20,11 +21,6 @@
 namespace graphpim::exec {
 
 namespace {
-
-// Salt folded into the cell seed for a watchdog retry, so the speculative
-// rerun draws a decorrelated trace/fault stream from the (possibly
-// pathological) original.
-constexpr std::uint64_t kRetrySalt = 0x72657472792d3031ULL;  // "retry-01"
 
 // Keys that shape the job matrix itself; every machine knob
 // (link_ber, num_cubes, topology, ...) is owned by SimConfig's field table
@@ -185,7 +181,6 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
     std::optional<core::SimResults> results;  // empty on failure
     std::string error;
     double wall_ms = 0.0;
-    int attempts = 1;
     trace::IntervalLog phases;    // populated only when journaling phases
     trace::SpanLog spans;         // populated when the config samples spans
     trace::IntervalLog timeline;  // populated when telemetry.window_ns > 0
@@ -200,10 +195,8 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
   const bool journal_open = !opts_.journal_path.empty();
 
   // Replays config `k` of a built cell with the fault seed derived from
-  // `seed`. The cell path and the watchdog retry both come through here,
-  // so they attach the same instrumentation: phases when the journal
-  // carries them; spans and windows when the config turns them on and a
-  // journal can carry them.
+  // `seed`, attaching phases when the journal carries them, and spans and
+  // windows when the config turns them on and a journal can carry them.
   auto replay = [&](const core::Experiment& exp, std::uint64_t seed,
                     std::size_t k, JobOut* out) {
     core::SimConfig cfg = grid.configs[k];
@@ -252,14 +245,12 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
   JournalWriter writer;
   if (!opts_.journal_path.empty()) writer.Open(opts_.journal_path, fingerprint);
 
-  ThreadPool pool(opts_.jobs);
-
   // Cell tasks build the shared Experiment, then fan the per-config replay
   // jobs out from the worker thread itself, so replays start the moment
   // their trace exists. The main thread harvests futures in grid order.
   std::mutex mu;
   std::condition_variable cell_cv;
-  std::vector<TaskFuture<JobOut>> job_futs(total);
+  std::vector<std::future<JobOut>> job_futs(total);
   std::vector<char> cell_ready(num_cells, 0);
   std::vector<double> cell_build_ms(num_cells, 0.0);
   std::vector<std::string> cell_error(num_cells);
@@ -282,6 +273,9 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
     opts_.on_progress(p);
   };
 
+  // Declared after everything its tasks touch, so that on an early exit
+  // its destructor drains them while that state still exists.
+  ThreadPool pool(opts_.jobs);
   for (std::size_t ci = 0; ci < num_cells; ++ci) {
     const std::size_t wi = ci / grid.profiles.size();
     const std::size_t pi = ci % grid.profiles.size();
@@ -320,15 +314,13 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
       }
       const double build_ms = MsSince(build_t0);
 
-      std::vector<TaskFuture<JobOut>> futs;
+      std::vector<std::future<JobOut>> futs;
       futs.reserve(needed.size());
       for (std::size_t k : needed) {
         futs.push_back(pool.Submit([&, exp, cell_seed, wi, pi, k] {
           const auto run_t0 = std::chrono::steady_clock::now();
           JobOut out;
-          // Jobs must not leak exceptions into the pool (a throwing task
-          // would take its worker thread down): a failed replay becomes a
-          // status=kFailed row instead.
+          // A failed replay becomes a status=kFailed row, not a throw.
           try {
             replay(*exp, cell_seed, k, &out);
           } catch (const std::exception& e) {
@@ -393,56 +385,8 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
         continue;
       }
 
-      auto& fut = job_futs[idx];
-      JobOut out;
-      {
-        // Soft watchdog: an overdue job gets ONE speculative retry with a
-        // decorrelated seed. The original is never interrupted (simulation
-        // jobs are not interruptible) and deterministically wins if it
-        // completes OK; the retry only replaces a *failed* original.
-        TaskFuture<JobOut> retry_fut;
-        std::uint64_t retry_seed = 0;
-        if (opts_.job_timeout_ms > 0 && !fut.WaitFor(opts_.job_timeout_ms)) {
-          retry_seed = fault::DeriveFaultSeed(cell_seed ^ kRetrySalt, k);
-          retry_fut = pool.Submit([&, retry_seed, wi, pi, k] {
-            const auto t0 = std::chrono::steady_clock::now();
-            JobOut r;
-            r.attempts = 2;
-            try {
-              const core::Experiment exp(
-                  grid.profiles[pi], grid.vertices, grid.workloads[wi],
-                  MakeExperimentOptions(grid, retry_seed));
-              replay(exp, retry_seed, k, &r);
-            } catch (const std::exception& e) {
-              r.error = e.what();
-            }
-            r.wall_ms = MsSince(t0);
-            return r;
-          });
-        }
-        auto o = fut.Get();
-        GP_CHECK(o.has_value(), "sweep job was cancelled mid-run");
-        out = std::move(*o);
-        if (retry_fut.valid()) {
-          if (out.results.has_value()) {
-            retry_fut.Cancel();  // best-effort; a running retry is discarded
-            out.attempts = 2;
-          } else {
-            auto r = retry_fut.Get();
-            GP_CHECK(r.has_value(), "retry job was cancelled mid-run");
-            if (r->results.has_value()) {
-              out = std::move(*r);
-              row.seed = retry_seed;  // row reflects the seed actually used
-            } else {
-              out.attempts = 2;
-              out.error += "; retry: " + r->error;
-            }
-          }
-        }
-      }
-
+      JobOut out = job_futs[idx].get();
       row.wall_ms = out.wall_ms;
-      row.attempts = out.attempts;
       if (out.results.has_value()) {
         row.results = std::move(*out.results);
         // Journal only freshly-computed OK rows: failed rows must be

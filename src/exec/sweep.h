@@ -20,10 +20,8 @@
 // optional journal streams finished rows to disk so a killed sweep can be
 // resumed (--resume) without redoing completed coordinates; because replays
 // are deterministic, a resumed table is bit-identical to an uninterrupted
-// run. An optional soft watchdog spawns one speculative retry (fresh
-// decorrelated seed) for overdue jobs; the original result is preferred
-// whenever it completes OK, so the contract holds unless a retry actually
-// replaces a failed original.
+// run. Every row is replayed from its own cell's seed, so the contract has
+// no exception.
 #ifndef GRAPHPIM_EXEC_SWEEP_H_
 #define GRAPHPIM_EXEC_SWEEP_H_
 
@@ -62,9 +60,8 @@ struct SweepGrid {
 std::uint64_t DeriveCellSeed(std::uint64_t base_seed, std::size_t workload_idx,
                              std::size_t profile_idx);
 
-// The Experiment options every job of `grid` builds its trace with, at
-// `seed`. The cell path and the timeout-retry path both use it, so a
-// retried job generates the same kind of trace as the job it replaces.
+// The Experiment options every cell of `grid` builds its trace with, at
+// `seed`.
 core::Experiment::Options MakeExperimentOptions(const SweepGrid& grid,
                                                 std::uint64_t seed);
 
@@ -89,7 +86,6 @@ struct SweepRow {
   // retries them.
   JobStatus status = JobStatus::kOk;
   std::string error;
-  int attempts = 1;           // 2 when the watchdog spawned a retry
   bool from_journal = false;  // restored by resume, not re-simulated
 };
 
@@ -136,13 +132,6 @@ class SweepRunner {
  public:
   struct Options {
     int jobs = 1;  // pool width; <= 0 selects hardware_concurrency()
-
-    // Soft per-job watchdog: when > 0, a job overdue at harvest time gets
-    // ONE speculative retry with a fresh decorrelated seed. The original
-    // run is never interrupted and wins if it completes OK, so the
-    // determinism contract only bends when the retry replaces a *failed*
-    // original. 0 disables (the default, and the contract-safe setting).
-    double job_timeout_ms = 0.0;
 
     // Crash-safe journal: when non-empty, every OK row is appended (and
     // flushed) to this JSONL file as it is harvested. With `resume`, rows

@@ -113,8 +113,7 @@ class HnswIndex {
       const float* q, std::uint32_t ep, int ef, int level) const;
   // Distance-diversity selection over (dist, id) candidates, best first.
   std::vector<std::uint32_t> SelectNeighbors(
-      const float* q, std::vector<std::pair<float, std::uint32_t>> cands,
-      int m) const;
+      std::vector<std::pair<float, std::uint32_t>> cands, int m) const;
   void Insert(std::uint32_t v);
   void Freeze(AddressSpace* space);
 

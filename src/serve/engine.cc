@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <future>
 #include <memory>
 #include <mutex>
 
@@ -10,6 +11,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/runner.h"
+#include "exec/thread_pool.h"
 #include "serve/slo.h"
 
 namespace graphpim::serve {
@@ -291,8 +293,7 @@ ServeGridResult RunServeGrid(
     const std::function<void(const exec::SweepProgress&)>& on_progress) {
   if (configs.empty()) GP_THROW("serve grid needs at least one config");
   if (qps_grid.empty()) GP_THROW("serve grid needs at least one qps");
-  // Fail fast on the orchestrating thread: a throw inside a pool worker
-  // would terminate the process, so surface param errors before submit.
+  // Fail fast on the orchestrating thread, before any point is submitted.
   if (base.slots < 1) GP_THROW("serve needs at least one dispatch slot");
   if (base.batch_max < 1) GP_THROW("serve needs batch_max >= 1");
   if (base.queue_depth < 1) GP_THROW("serve needs queue_depth >= 1");
@@ -316,11 +317,13 @@ ServeGridResult RunServeGrid(
 
   ServeGridResult out;
   const std::size_t total = configs.size() * qps_grid.size();
-  exec::ThreadPool pool(jobs);
   std::mutex progress_mu;
   std::size_t completed = 0;
+  // Declared after everything its tasks touch, so that on an early exit
+  // its destructor drains them while that state still exists.
+  exec::ThreadPool pool(jobs);
 
-  std::vector<exec::TaskFuture<ServePoint>> futures;
+  std::vector<std::future<ServePoint>> futures;
   futures.reserve(total);
   for (const auto& [name, cfg] : configs) {
     for (double qps : qps_grid) {
@@ -354,13 +357,7 @@ ServeGridResult RunServeGrid(
     }
   }
   // Harvest in submission (grid) order — the determinism contract.
-  for (auto& f : futures) {
-    auto v = f.Get();
-    GP_CHECK(v.has_value(), "serve point task was cancelled");
-    out.points.push_back(std::move(*v));
-  }
-  out.pool = pool.stats();
-  pool.ExportStats(&out.pool_stats);
+  for (auto& f : futures) out.points.push_back(f.get());
   out.total_wall_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();

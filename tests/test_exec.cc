@@ -1,5 +1,5 @@
-// src/exec tests: thread-pool lifecycle (drain-on-shutdown, cancellation,
-// futures, stats), deterministic sweep seeding, the grid-spec parser, the
+// src/exec tests: thread-pool lifecycle (drain-on-shutdown, futures,
+// exceptions, queue order), deterministic sweep seeding, the grid-spec parser, the
 // result sinks, and the headline regression — a small BFS grid must produce
 // bit-identical results at --jobs=1 and --jobs=4.
 #include <gtest/gtest.h>
@@ -9,6 +9,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -47,17 +49,14 @@ class Gate {
   bool open_ = false;
 };
 
-TEST(ThreadPool, ReturnsValuesAndRecordsWallTime) {
+TEST(ThreadPool, ReturnsValuesThroughFutures) {
   ThreadPool pool(2);
   auto f = pool.Submit([] { return 6 * 7; });
   auto g = pool.Submit([] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   });
-  ASSERT_TRUE(f.Get().has_value());
-  EXPECT_EQ(*f.Get(), 42);
-  EXPECT_EQ(f.state(), TaskState::kDone);
-  ASSERT_TRUE(g.Get().has_value());  // void task yields a `true` marker
-  EXPECT_GE(g.wall_ms(), 4.0);
+  EXPECT_EQ(f.get(), 42);
+  g.get();  // a void task's future becomes ready once it ran
 }
 
 TEST(ThreadPool, ShutdownDrainsPendingTasks) {
@@ -74,30 +73,6 @@ TEST(ThreadPool, ShutdownDrainsPendingTasks) {
   EXPECT_EQ(ran.load(), 16);
 }
 
-TEST(ThreadPool, CancelWinsOnlyWhilePending) {
-  ThreadPool pool(1);
-  Gate gate;
-  std::atomic<bool> started{false};
-  auto running = pool.Submit([&] {
-    started = true;
-    gate.Wait();
-  });
-  while (!started) std::this_thread::yield();
-  EXPECT_FALSE(running.Cancel());  // already running: cancel must lose
-
-  auto pending = pool.Submit([] { return 1; });
-  EXPECT_TRUE(pending.Cancel());
-  EXPECT_EQ(pending.state(), TaskState::kCancelled);
-  EXPECT_FALSE(pending.Get().has_value());
-
-  gate.Open();
-  pool.Shutdown();
-  const PoolStats s = pool.stats();
-  EXPECT_EQ(s.submitted, 2u);
-  EXPECT_EQ(s.executed, 1u);
-  EXPECT_EQ(s.cancelled, 1u);
-}
-
 // Every round leaves the single worker idle, so every Submit has to wake
 // it. A lost wakeup strands the task in the queue; the timed wait turns
 // that into a failure instead of a hang.
@@ -105,81 +80,66 @@ TEST(ThreadPool, SubmitWakesAnIdleWorkerEveryTime) {
   ThreadPool pool(1);
   for (int i = 0; i < 20000; ++i) {
     auto f = pool.Submit([i] { return i; });
-    ASSERT_TRUE(f.WaitFor(10'000.0)) << "task " << i << " was never run";
-    ASSERT_EQ(*f.Get(), i);
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+        << "task " << i << " was never run";
+    ASSERT_EQ(f.get(), i);
   }
 }
 
-TEST(ThreadPool, CancelPendingSweepsTheQueues) {
+// A throwing task hands its exception to the future instead of taking the
+// worker down: the pool's only worker must still run the next task.
+TEST(ThreadPool, TaskExceptionRethrowsAtGetAndThePoolRunsOn) {
+  ThreadPool pool(1);
+  auto bad = pool.Submit([]() -> int { GP_THROW("replay failed"); });
+  EXPECT_THROW(bad.get(), SimError);
+  auto good = pool.Submit([] { return 7; });
+  EXPECT_EQ(good.get(), 7);
+}
+
+// A sweep cell submits its replays from a worker; they must run before the
+// next cell's build, which was queued from outside earlier.
+TEST(ThreadPool, WorkerSubmissionsRunBeforeEarlierExternalTasks) {
   ThreadPool pool(1);
   Gate gate;
-  std::atomic<bool> started{false};
-  pool.Submit([&] {
-    started = true;
-    gate.Wait();
+  std::mutex mu;
+  std::vector<std::string> order;
+  auto log = [&](const std::string& name) {
+    std::lock_guard<std::mutex> lk(mu);
+    order.push_back(name);
+  };
+  auto outer = pool.Submit([&] {
+    gate.Wait();  // until the external tasks below are queued
+    log("outer");
+    return pool.Submit([&] { log("inner"); });
   });
-  // Only once the gate task is RUNNING is "pending" exactly the 8 below.
-  while (!started) std::this_thread::yield();
-  std::vector<TaskFuture<int>> futs;
-  for (int i = 0; i < 8; ++i) futs.push_back(pool.Submit([i] { return i; }));
-  EXPECT_EQ(pool.CancelPending(), 8u);
+  std::vector<std::future<void>> external;
+  for (const char* name : {"ext0", "ext1"}) {
+    external.push_back(pool.Submit([&log, name] { log(name); }));
+  }
   gate.Open();
-  pool.WaitIdle();
-  for (auto& f : futs) EXPECT_FALSE(f.Get().has_value());
-  EXPECT_EQ(pool.stats().cancelled, 8u);
+  outer.get().get();
+  for (auto& f : external) f.get();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"outer", "inner", "ext0", "ext1"}));
 }
 
-TEST(ThreadPool, WaitIdleBlocksUntilEverythingFinished) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([&] {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      ran.fetch_add(1);
-    });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(ran.load(), 64);
-  EXPECT_EQ(pool.stats().executed, 64u);
+// The pool destroys a task's callable before its future becomes ready, so
+// an unharvested result does not pin what the task captured (in a sweep,
+// the cell's whole Experiment).
+TEST(ThreadPool, FinishedTaskReleasesItsCapturesBeforeTheFutureIsRead) {
+  ThreadPool pool(1);
+  auto captured = std::make_shared<int>(5);
+  auto f = pool.Submit([captured] { return *captured; });
+  ASSERT_EQ(f.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  EXPECT_EQ(captured.use_count(), 1);
+  EXPECT_EQ(f.get(), 5);
 }
 
 TEST(ThreadPool, OnWorkerThreadDistinguishesInsideFromOutside) {
   ThreadPool pool(2);
   EXPECT_FALSE(pool.OnWorkerThread());
   auto f = pool.Submit([&pool] { return pool.OnWorkerThread(); });
-  ASSERT_TRUE(f.Get().has_value());
-  EXPECT_TRUE(*f.Get());
-}
-
-TEST(ThreadPool, ExportsOccupancyCountersToRegistry) {
-  ThreadPool pool(2);
-  Gate gate;
-  std::atomic<int> started{0};
-  // Two blockers pin both workers so further submissions must queue.
-  auto b1 = pool.Submit([&] { ++started; gate.Wait(); });
-  auto b2 = pool.Submit([&] { ++started; gate.Wait(); });
-  while (started.load() < 2) std::this_thread::yield();
-  std::vector<TaskFuture<void>> queued;
-  for (int i = 0; i < 4; ++i) queued.push_back(pool.Submit([] {}));
-  // All four are sitting in deques right now: the high-water mark must
-  // have seen them (peaks are monotone, so this cannot flake downward).
-  EXPECT_GE(pool.stats().peak_queued, 4u);
-  gate.Open();
-  pool.WaitIdle();
-  const PoolStats s = pool.stats();
-  EXPECT_EQ(s.submitted, 6u);
-  EXPECT_EQ(s.executed, 6u);
-  EXPECT_GE(s.peak_running, 2u);  // both blockers ran simultaneously
-  StatRegistry reg;
-  pool.ExportStats(&reg);
-  EXPECT_DOUBLE_EQ(reg.Get("pool.threads"), 2.0);
-  EXPECT_DOUBLE_EQ(reg.Get("pool.submitted"), 6.0);
-  EXPECT_DOUBLE_EQ(reg.Get("pool.executed"), 6.0);
-  EXPECT_EQ(reg.Get("pool.peak_queued"), static_cast<double>(s.peak_queued));
-  EXPECT_EQ(reg.Get("pool.peak_running"),
-            static_cast<double>(s.peak_running));
-  // Null registry is the usual no-op contract.
-  pool.ExportStats(nullptr);
+  EXPECT_TRUE(f.get());
 }
 
 TEST(SweepSeed, DeterministicAndDecorrelated) {

@@ -458,21 +458,21 @@ TEST(PmemSweep, EnableMustBeUniformAcrossTheGrid) {
   EXPECT_THROW(exec::SweepRunner(opts).Run(g), SimError);
 }
 
-// The watchdog's retry job builds its own Experiment at a decorrelated
-// seed; it must still generate the flush/fence discipline, or a retried
-// pmem cell would replay a trace with no persist ops.
+// The options a sweep cell builds its Experiment with must generate the
+// flush/fence discipline at any seed, or a pmem cell would replay a trace
+// with no persist ops.
 TEST(PmemSweep, RetryOptionsCarryFullPersistMode) {
   const exec::SweepGrid g = PmemGrid();
-  const std::uint64_t retry_seed = 0x9e3779b97f4a7c15ULL;
-  const core::Experiment::Options eo = exec::MakeExperimentOptions(g, retry_seed);
+  const std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
+  const core::Experiment::Options eo = exec::MakeExperimentOptions(g, seed);
   EXPECT_EQ(eo.persist, pmem::PersistMode::kFull);
-  EXPECT_EQ(eo.seed, retry_seed);
+  EXPECT_EQ(eo.seed, seed);
   EXPECT_EQ(eo.num_threads, g.sim_threads);
   EXPECT_EQ(eo.op_cap, g.op_cap);
 
   exec::SweepGrid off = PmemGrid();
   for (auto& c : off.configs) c.pmem.enable = false;
-  EXPECT_EQ(exec::MakeExperimentOptions(off, retry_seed).persist,
+  EXPECT_EQ(exec::MakeExperimentOptions(off, seed).persist,
             pmem::PersistMode::kOff);
 }
 

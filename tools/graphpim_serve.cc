@@ -34,8 +34,7 @@
 // DETERMINISM: everything between the "== saturation table ==" markers is
 // a pure function of the flags — bit-identical across --jobs counts and
 // reruns (the serve-identity gate in scripts/golden_identity.sh diffs
-// exactly that region). Wall-clock and pool.* occupancy lines print after
-// the end marker.
+// exactly that region). The wall-clock line prints after the end marker.
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -84,6 +83,7 @@ int Run(const Config& cfg) {
       "progress",  "metrics-out", "slo-ns",     "timeline-out"};
   for (const std::string& k : core::SimConfig::ConfigKeys()) keys.push_back(k);
   cfg.RequireKeys(keys);
+  cfg.RequireWritable({"metrics-out", "timeline-out"});
 
   // --- resident graph options (construction is deferred: a knn mix
   // changes what the graph must host) ----------------------------------
@@ -221,15 +221,7 @@ int Run(const Config& cfg) {
   std::printf("== end saturation table ==\n");
 
   // Wall-clock metadata (NOT deterministic; stays outside the markers).
-  std::printf(
-      "\nwall: %.0f ms | pool: %llu submitted, %llu executed, "
-      "%llu steals, peak queued %llu, peak running %llu, busy %.0f ms\n",
-      res.total_wall_ms, static_cast<unsigned long long>(res.pool.submitted),
-      static_cast<unsigned long long>(res.pool.executed),
-      static_cast<unsigned long long>(res.pool.steals),
-      static_cast<unsigned long long>(res.pool.peak_queued),
-      static_cast<unsigned long long>(res.pool.peak_running),
-      res.pool.busy_ms);
+  std::printf("\nwall: %.0f ms\n", res.total_wall_ms);
 
   // Telemetry exports: every point's windows, point-prefixed so the tracks
   // (and JSONL lines) of different grid cells stay distinct.

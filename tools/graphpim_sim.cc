@@ -51,6 +51,7 @@
 #include <exception>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -211,7 +212,7 @@ int RunMain(const Config& cfg) {
   std::vector<double> job_wall_ms(modes.size(), 0.0);
   {
     exec::ThreadPool pool(static_cast<int>(cfg.GetInt("jobs", 0)));
-    std::vector<exec::TaskFuture<core::SimResults>> futs;
+    std::vector<std::future<core::SimResults>> futs;
     futs.reserve(modes.size());
     for (std::size_t i = 0; i < mode_cfgs.size(); ++i) {
       const core::SimConfig& sc = mode_cfgs[i];
@@ -235,7 +236,7 @@ int RunMain(const Config& cfg) {
       }));
     }
     for (std::size_t i = 0; i < futs.size(); ++i) {
-      mode_results[i] = std::move(*futs[i].Get());
+      mode_results[i] = futs[i].get();
       if (on_progress) {
         exec::SweepProgress p;
         p.completed = i + 1;

@@ -1,7 +1,7 @@
 // graphpim_sweep — run full paper-reproduction grids in one invocation.
 //
 // Expands a workload × profile × machine-config job matrix, executes it on
-// the src/exec work-stealing pool, and prints a keyed result table with
+// the src/exec job pool, and prints a keyed result table with
 // speedups against the first config (baseline). Results are bit-identical
 // for any --jobs value (see src/exec/sweep.h for the determinism contract).
 //
@@ -26,10 +26,8 @@
 // of the grid completes); --journal streams finished rows to a JSONL file,
 // and --resume restores them after a crash/SIGKILL so only missing rows
 // re-simulate. Because replays are deterministic, the resumed table is
-// bit-identical to an uninterrupted run. --timeout-ms arms a soft per-job
-// watchdog with one speculative retry.
+// bit-identical to an uninterrupted run.
 //                  [--journal=sweep.partial.jsonl] [--resume=0]
-//                  [--timeout-ms=0]
 //                  [--journal-phases=0]  # per-superstep {"phases_for":...}
 //                                        # sidecar lines in the journal
 //
@@ -80,8 +78,7 @@ int Run(const Config& cfg) {
   std::vector<std::string> keys = {
       "workloads", "profiles",   "modes",   "vertices", "opcap",
       "seed",      "jobs",       "progress", "json",    "csv",
-      "det-csv",   "journal",    "resume",  "timeout-ms",
-      "journal-phases"};
+      "det-csv",   "journal",    "resume",  "journal-phases"};
   for (const std::string& k : core::SimConfig::ConfigKeys()) keys.push_back(k);
   cfg.RequireKeys(keys);
   cfg.RequireWritable({"json", "csv", "det-csv"});
@@ -109,7 +106,6 @@ int Run(const Config& cfg) {
 
   exec::SweepRunner::Options opts;
   opts.jobs = static_cast<int>(cfg.GetInt("jobs", 0));
-  opts.job_timeout_ms = cfg.GetDouble("timeout-ms", 0.0);
   opts.journal_path = cfg.GetString("journal", "");
   opts.resume = cfg.GetBool("resume", false);
   opts.journal_phases = cfg.GetBool("journal-phases", false);
