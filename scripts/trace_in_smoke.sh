@@ -7,16 +7,19 @@
 #
 # Saves a small trace, damages one field per case, and replays each copy;
 # then runs each bad flag on its own, on graphpim_sim, graphpim_sweep and
-# graphpim_serve.
+# graphpim_serve, and hands graphpim_compare a file nested a million
+# levels deep and bad tolerance and row-count flags.
 #
 # Usage: scripts/trace_in_smoke.sh [path/to/graphpim_sim]
 #            [path/to/graphpim_sweep] [path/to/graphpim_serve]
+#            [path/to/graphpim_compare]
 set -u
 
 SIM="${1:-build/tools/graphpim_sim}"
 SWEEP="${2:-build/tools/graphpim_sweep}"
 SERVE="${3:-build/tools/graphpim_serve}"
-for bin in "$SIM" "$SWEEP" "$SERVE"; do
+COMPARE="${4:-build/tools/graphpim_compare}"
+for bin in "$SIM" "$SWEEP" "$SERVE" "$COMPARE"; do
   if [[ ! -x "$bin" ]]; then
     echo "trace_in_smoke: $bin not found or not executable" >&2
     exit 1
@@ -67,7 +70,8 @@ check extra_barrier 32 05 "barriers"
 reject() {  # name, error text, arguments... (run by $BIN, default $SIM)
   local name="$1" want="$2" bin="${BIN:-$SIM}"
   shift 2
-  "$bin" "$@" > "$WORK/$name.out" 2> "$WORK/$name.err"
+  # The timeout turns a value that hangs the replay into a failure.
+  timeout 120 "$bin" "$@" > "$WORK/$name.out" 2> "$WORK/$name.err"
   local rc=$?
   if [[ $rc -ne 1 ]] || [[ "$(wc -l < "$WORK/$name.err")" -ne 1 ]] ||
       ! grep -q "^$(basename "$bin"): error: .*$want" "$WORK/$name.err"; then
@@ -95,6 +99,12 @@ reject single_run_csv "unknown option '--csv'" --csv="$WORK/out.csv"
 reject jobs_overflow "99999999999999999999 is out of range" \
     --jobs=99999999999999999999
 reject jobs_wrap "4294967297 is out of range" --jobs=4294967297
+# Doubles are strict and finite: nan would pass a range check (and hang
+# the replay for linkbw).
+for knob in linkbw link-ber trace-sample-rate; do
+  reject "nan_$knob" "config key '$knob': 'nan' is not finite" \
+      "${ARGS[@]}" --$knob=nan
+done
 
 # An unwritable output path must fail before the run starts: the driver
 # prints its first stdout line only once the graph is built.
@@ -120,10 +130,41 @@ BIN="$SWEEP" reject sweep_jobs_overflow "99999999999999999999 is out of range" \
     --jobs=99999999999999999999
 BIN="$SWEEP" reject sweep_timeout_ms "unknown option '--timeout-ms'" \
     --timeout-ms=5
+SERVE_ARGS=(--vertices=1024 --requests=8 --jobs=1)
+BIN="$SERVE" reject serve_empty_slo "config key 'slo-ns': '' is not a number" \
+    "${SERVE_ARGS[@]}" --slo-ns=
+BIN="$SERVE" reject serve_nan_dispatch \
+    "config key 'dispatch-ns': 'nan' is not finite" \
+    "${SERVE_ARGS[@]}" --dispatch-ns=nan
+BIN="$SERVE" reject serve_qps_trailing "--qps-grid: '1e6abc' is not a number" \
+    "${SERVE_ARGS[@]}" --qps-grid=1e6abc
+BIN="$SERVE" reject serve_qps_empty "--qps-grid needs at least one value" \
+    "${SERVE_ARGS[@]}" --qps-grid=,
+BIN="$SERVE" reject serve_mix_trailing \
+    "weight of kind 'bfs' in mix spec: '1x' is not a number" \
+    "${SERVE_ARGS[@]}" --mix=bfs=1x
+for cubes in 1.5 0; do
+  BIN="$SERVE" reject "serve_cubes_$cubes" \
+      "--num-cubes entries must be positive integers, got $cubes" \
+      "${SERVE_ARGS[@]}" --num-cubes=$cubes
+done
 for sink in metrics-out timeline-out; do
   BIN="$SERVE" reject_early "serve_$sink" \
       "config key '$sink': cannot open '$NODIR/out' for writing" \
       --vertices=1024 --requests=8 --qps-grid=1e6 --jobs=1 \
       --$sink="$NODIR/out"
 done
+# Nesting past the JSON reader's depth bound is a one-line error, not a
+# stack overflow.
+echo '{"a":1}' > "$WORK/ok.json"
+head -c 1000000 /dev/zero | tr '\0' '[' > "$WORK/deep.json"
+BIN="$COMPARE" reject compare_deep "malformed JSON at offset 64" \
+    "$WORK/ok.json" "$WORK/deep.json"
+# Tolerances are strict and finite (nan would flag identical files as a
+# regression), and --max-rows is an unsigned integer.
+BIN="$COMPARE" reject compare_nan_tolerance "--tolerance: 'nan' is not finite" \
+    "$WORK/ok.json" "$WORK/ok.json" --tolerance=nan
+BIN="$COMPARE" reject compare_max_rows \
+    "--max-rows: '1e30' is not an unsigned integer" \
+    "$WORK/ok.json" "$WORK/ok.json" --max-rows=1e30
 exit $fail

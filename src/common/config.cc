@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -70,6 +71,19 @@ std::int64_t ParseInt(const std::string& what, const std::string& val,
   return v;
 }
 
+double ParseDouble(const std::string& what, const std::string& val) {
+  char* end = nullptr;
+  const double v = std::strtod(val.c_str(), &end);
+  // As in ParseUint: strtod skips leading blanks, and the end check also
+  // catches an embedded NUL.
+  if (val.empty() || std::isspace(static_cast<unsigned char>(val[0])) != 0 ||
+      end != val.c_str() + val.size()) {
+    GP_THROW(what, ": '", val, "' is not a number");
+  }
+  if (!std::isfinite(v)) GP_THROW(what, ": '", val, "' is not finite");
+  return v;
+}
+
 std::int64_t Config::GetInt(const std::string& key, std::int64_t def,
                             std::int64_t min, std::int64_t max) const {
   auto it = values_.find(key);
@@ -87,12 +101,7 @@ std::uint64_t Config::GetUint(const std::string& key, std::uint64_t def,
 double Config::GetDouble(const std::string& key, double def) const {
   auto it = values_.find(key);
   if (it == values_.end()) return def;
-  char* end = nullptr;
-  double v = std::strtod(it->second.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    GP_THROW("config key '", key, "': '", it->second, "' is not a number");
-  }
-  return v;
+  return ParseDouble("config key '" + key + "'", it->second);
 }
 
 bool Config::GetBool(const std::string& key, bool def) const {

@@ -26,6 +26,12 @@ std::uint64_t ParseUint(const std::string& what, const std::string& val,
 std::int64_t ParseInt(const std::string& what, const std::string& val,
                       std::int64_t min, std::int64_t max);
 
+// Strict floating-point twin of ParseUint: all of `val` must be one
+// number as strtod reads it, with no blank, trailing text or embedded NUL,
+// and it must be finite (nan, inf and overflowing values are rejected).
+// Throws SimError starting with `what` otherwise.
+double ParseDouble(const std::string& what, const std::string& val);
+
 class Config {
  public:
   Config() = default;
@@ -50,6 +56,7 @@ class Config {
   // GetUint parses strictly (see ParseUint) and rejects values above `max`.
   std::uint64_t GetUint(const std::string& key, std::uint64_t def,
                         std::uint64_t max = ~std::uint64_t{0}) const;
+  // GetDouble parses strictly (see ParseDouble).
   double GetDouble(const std::string& key, double def) const;
   bool GetBool(const std::string& key, bool def) const;
 

@@ -3,6 +3,8 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "common/log.h"
+
 namespace graphpim {
 
 std::vector<std::string> Split(std::string_view s, char sep) {
@@ -66,6 +68,34 @@ std::string JsonEscape(const std::string& s) {
     }
   }
   return out;
+}
+
+std::string ReadTextFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) GP_THROW("cannot read '", path, "'");
+  std::string out;
+  char buf[1 << 16];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+  const bool ok = std::ferror(f) == 0;
+  std::fclose(f);
+  if (!ok) GP_THROW("cannot read '", path, "'");
+  return out;
+}
+
+void WriteTextFile(const std::string& path, std::string_view text) {
+  WriteTextFile(path, std::span<const std::string_view>(&text, 1));
+}
+
+void WriteTextFile(const std::string& path,
+                   std::span<const std::string_view> parts) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) GP_THROW("cannot open '", path, "' for writing");
+  bool ok = true;
+  for (const std::string_view part : parts) {
+    ok = ok && std::fwrite(part.data(), 1, part.size(), f) == part.size();
+  }
+  if (std::fclose(f) != 0 || !ok) GP_THROW("cannot write '", path, "'");
 }
 
 }  // namespace graphpim

@@ -1,7 +1,6 @@
 #include "common/trace.h"
 
 #include <cmath>
-#include <fstream>
 
 #include "common/log.h"
 #include "common/string_util.h"
@@ -171,18 +170,17 @@ void WriteTrace(const IntervalLog& phases, const std::string& path,
                 const std::vector<PointWindows>& windows) {
   const bool jsonl =
       path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0;
-  std::ofstream f(path, std::ios::binary);
-  if (!f) GP_THROW("cannot open metrics output file '", path, "'");
-  if (jsonl) {
-    f << PhasesToJsonl(phases);
-    if (spans != nullptr) f << SpansToJsonl(*spans);
-    for (const PointWindows& pw : windows) {
-      f << WindowsToJsonl(*pw.windows, pw.point);
-    }
-  } else {
-    f << ToChromeTrace(phases, spans, windows);
+  if (!jsonl) {
+    WriteTextFile(path, ToChromeTrace(phases, spans, windows));
+    return;
   }
-  if (!f) GP_THROW("failed writing metrics output file '", path, "'");
+  std::vector<std::string> texts = {PhasesToJsonl(phases)};
+  if (spans != nullptr) texts.push_back(SpansToJsonl(*spans));
+  for (const PointWindows& pw : windows) {
+    texts.push_back(WindowsToJsonl(*pw.windows, pw.point));
+  }
+  const std::vector<std::string_view> parts(texts.begin(), texts.end());
+  WriteTextFile(path, parts);
 }
 
 }  // namespace graphpim::trace

@@ -1,7 +1,6 @@
 #include "core/sim_config.h"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "common/config.h"
 #include "common/log.h"
@@ -152,15 +151,7 @@ bool LookupKnob(const Config& cfg, const KnobRow& row, double* out) {
     key = row.cli;
   }
   if (key == nullptr) return false;
-  // Parse by hand: a malformed value must be a recoverable SimError naming
-  // the key (like the range checks), not Config::GetDouble's GP_FATAL.
-  const std::string raw = cfg.GetString(key, "");
-  char* end = nullptr;
-  const double v = std::strtod(raw.c_str(), &end);
-  if (raw.empty() || end != raw.c_str() + raw.size()) {
-    GP_THROW("config key '", key, "': '", raw, "' is not a number");
-  }
-  *out = v;
+  *out = cfg.GetDouble(key, 0.0);
   return true;
 }
 
@@ -171,7 +162,7 @@ bool IsPowerOfTwo(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 // fractional "threads=2.5" must fail, not silently floor) and again on the
 // stored field value in Validate() for programmatically-built configs.
 void CheckKnobValue(const KnobRow& row, double v) {
-  if (v < row.min || v > row.max) {
+  if (!(v >= row.min && v <= row.max)) {  // NaN fails too
     GP_THROW("config key '", row.key, "' out of range: ", v, " not in [",
              row.min, ", ", row.max, "]");
   }

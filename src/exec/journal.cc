@@ -1,10 +1,10 @@
 #include "exec/journal.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <utility>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/string_util.h"
 
@@ -18,149 +18,6 @@ std::string D(double v) { return StrFormat("%.17g", v); }
 std::string U(std::uint64_t v) {
   return StrFormat("%llu", static_cast<unsigned long long>(v));
 }
-
-// ---------------------------------------------------------------------------
-// Minimal parser for the JSON subset this file emits: objects, arrays,
-// strings, numbers. Numbers keep their raw token so the consumer chooses
-// strtoull vs strtod (full 64-bit seeds must not round-trip through a
-// double). Any syntax outside the subset fails the line.
-
-struct JVal {
-  enum class Kind { kObj, kArr, kStr, kNum };
-  Kind kind = Kind::kNum;
-  std::vector<std::pair<std::string, JVal>> obj;
-  std::vector<JVal> arr;
-  std::string text;  // decoded string (kStr) or raw token (kNum)
-
-  const JVal* Get(const std::string& key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  double Num() const { return std::strtod(text.c_str(), nullptr); }
-  std::uint64_t U64() const { return std::strtoull(text.c_str(), nullptr, 10); }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& s) : p_(s.c_str()), end_(p_ + s.size()) {}
-
-  // Whole-line parse: one value, then nothing but whitespace.
-  bool Parse(JVal* out) {
-    if (!ParseValue(out)) return false;
-    SkipWs();
-    return p_ == end_;
-  }
-
- private:
-  void SkipWs() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\r')) ++p_;
-  }
-
-  bool ParseValue(JVal* out) {
-    SkipWs();
-    if (p_ == end_) return false;
-    switch (*p_) {
-      case '{': return ParseObject(out);
-      case '[': return ParseArray(out);
-      case '"':
-        out->kind = JVal::Kind::kStr;
-        return ParseString(&out->text);
-      default: return ParseNumber(out);
-    }
-  }
-
-  bool ParseObject(JVal* out) {
-    out->kind = JVal::Kind::kObj;
-    ++p_;  // '{'
-    SkipWs();
-    if (p_ != end_ && *p_ == '}') { ++p_; return true; }
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (p_ == end_ || *p_ != '"' || !ParseString(&key)) return false;
-      SkipWs();
-      if (p_ == end_ || *p_ != ':') return false;
-      ++p_;
-      JVal v;
-      if (!ParseValue(&v)) return false;
-      out->obj.emplace_back(std::move(key), std::move(v));
-      SkipWs();
-      if (p_ == end_) return false;
-      if (*p_ == ',') { ++p_; continue; }
-      if (*p_ == '}') { ++p_; return true; }
-      return false;
-    }
-  }
-
-  bool ParseArray(JVal* out) {
-    out->kind = JVal::Kind::kArr;
-    ++p_;  // '['
-    SkipWs();
-    if (p_ != end_ && *p_ == ']') { ++p_; return true; }
-    while (true) {
-      JVal v;
-      if (!ParseValue(&v)) return false;
-      out->arr.push_back(std::move(v));
-      SkipWs();
-      if (p_ == end_) return false;
-      if (*p_ == ',') { ++p_; continue; }
-      if (*p_ == ']') { ++p_; return true; }
-      return false;
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    ++p_;  // '"'
-    while (p_ != end_ && *p_ != '"') {
-      if (*p_ == '\\') {
-        ++p_;
-        if (p_ == end_) return false;
-        switch (*p_) {
-          case '"': *out += '"'; break;
-          case '\\': *out += '\\'; break;
-          case '/': *out += '/'; break;
-          case 'n': *out += '\n'; break;
-          case 't': *out += '\t'; break;
-          case 'r': *out += '\r'; break;
-          case 'u': {
-            if (end_ - p_ < 5) return false;
-            char hex[5] = {p_[1], p_[2], p_[3], p_[4], '\0'};
-            char* hend = nullptr;
-            unsigned long cp = std::strtoul(hex, &hend, 16);
-            if (hend != hex + 4 || cp > 0xff) return false;  // we only emit 00XX
-            *out += static_cast<char>(cp);
-            p_ += 4;
-            break;
-          }
-          default: return false;
-        }
-        ++p_;
-      } else {
-        *out += *p_++;
-      }
-    }
-    if (p_ == end_) return false;
-    ++p_;  // closing '"'
-    return true;
-  }
-
-  bool ParseNumber(JVal* out) {
-    out->kind = JVal::Kind::kNum;
-    const char* start = p_;
-    while (p_ != end_ &&
-           (std::strchr("+-.0123456789eE", *p_) != nullptr)) {
-      ++p_;
-    }
-    if (p_ == start) return false;
-    out->text.assign(start, static_cast<std::size_t>(p_ - start));
-    return true;
-  }
-
-  const char* p_;
-  const char* end_;
-};
 
 // ---------------------------------------------------------------------------
 // Row <-> line.
@@ -203,74 +60,66 @@ std::string ResultsToJson(const core::SimResults& r) {
   return s;
 }
 
-bool ResultsFromJson(const JVal& v, core::SimResults* r) {
-  if (v.kind != JVal::Kind::kObj) return false;
-  auto str = [&](const char* k, std::string* out) {
-    const JVal* f = v.Get(k);
-    if (f == nullptr || f->kind != JVal::Kind::kStr) return false;
-    *out = f->text;
-    return true;
-  };
-  auto u64 = [&](const char* k, std::uint64_t* out) {
-    const JVal* f = v.Get(k);
-    if (f == nullptr || f->kind != JVal::Kind::kNum) return false;
-    *out = f->U64();
-    return true;
-  };
-  auto dbl = [&](const char* k, double* out) {
-    const JVal* f = v.Get(k);
-    if (f == nullptr || f->kind != JVal::Kind::kNum) return false;
-    *out = f->Num();
-    return true;
-  };
-  if (!str("mode", &r->mode)) return false;
-  if (!u64("cycles", &r->cycles) || !u64("insts", &r->insts)) return false;
-  if (!dbl("seconds", &r->seconds) || !dbl("ipc", &r->ipc)) return false;
-  if (!dbl("l1", &r->l1_mpki) || !dbl("l2", &r->l2_mpki) ||
-      !dbl("l3", &r->l3_mpki)) {
-    return false;
+// The member `key` of object `v`. Throws SimError when it is absent, so a
+// line that lacks a field is dropped like a malformed one.
+const JsonValue& Field(const JsonValue& v, const char* key) {
+  const JsonValue* f = v.Get(key);
+  if (f == nullptr) GP_THROW("journal line lacks field '", key, "'");
+  return *f;
+}
+
+const std::string& Str(const JsonValue& v, const char* key) {
+  const JsonValue& f = Field(v, key);
+  if (f.kind != JsonValue::Kind::kStr) {
+    GP_THROW("journal field '", key, "' is not a string");
   }
-  if (!dbl("amr", &r->atomic_miss_rate)) return false;
-  if (!u64("atomics", &r->atomics) || !u64("offloaded", &r->offloaded_atomics))
-    return false;
-  if (!dbl("reqf", &r->req_flits) || !dbl("respf", &r->resp_flits)) return false;
-  if (!u64("crc", &r->link_crc_errors) || !u64("retries", &r->link_retries) ||
-      !dbl("retryf", &r->retry_flits) || !u64("poisoned", &r->poisoned_ops) ||
-      !u64("stalls", &r->vault_stalls)) {
-    return false;
+  return f.text;
+}
+
+// Reads the array `key` of `v` into `dst`, which must match it in length.
+void Doubles(const JsonValue& v, const char* key,
+             std::initializer_list<double*> dst) {
+  const JsonValue& f = Field(v, key);
+  if (f.kind != JsonValue::Kind::kArr || f.arr.size() != dst.size()) {
+    GP_THROW("journal field '", key, "' is not an array of ", dst.size());
   }
-  const JVal* fr = v.Get("fractions");
-  if (fr == nullptr || fr->kind != JVal::Kind::kArr || fr->arr.size() != 8)
-    return false;
-  for (const JVal& e : fr->arr) {
-    if (e.kind != JVal::Kind::kNum) return false;
+  std::size_t i = 0;
+  for (double* d : dst) *d = f.arr[i++].Num();
+}
+
+core::SimResults ResultsFromJson(const JsonValue& v) {
+  core::SimResults r;
+  r.mode = Str(v, "mode");
+  r.cycles = Field(v, "cycles").U64();
+  r.insts = Field(v, "insts").U64();
+  r.seconds = Field(v, "seconds").Num();
+  r.ipc = Field(v, "ipc").Num();
+  r.l1_mpki = Field(v, "l1").Num();
+  r.l2_mpki = Field(v, "l2").Num();
+  r.l3_mpki = Field(v, "l3").Num();
+  r.atomic_miss_rate = Field(v, "amr").Num();
+  r.atomics = Field(v, "atomics").U64();
+  r.offloaded_atomics = Field(v, "offloaded").U64();
+  r.req_flits = Field(v, "reqf").Num();
+  r.resp_flits = Field(v, "respf").Num();
+  r.link_crc_errors = Field(v, "crc").U64();
+  r.link_retries = Field(v, "retries").U64();
+  r.retry_flits = Field(v, "retryf").Num();
+  r.poisoned_ops = Field(v, "poisoned").U64();
+  r.vault_stalls = Field(v, "stalls").U64();
+  Doubles(v, "fractions",
+          {&r.frac_atomic_incore, &r.frac_atomic_incache, &r.frac_atomic_dep,
+           &r.frac_other, &r.frac_frontend, &r.frac_badspec, &r.frac_retiring,
+           &r.frac_backend});
+  Doubles(v, "energy",
+          {&r.energy.caches_j, &r.energy.link_j, &r.energy.fu_j,
+           &r.energy.logic_j, &r.energy.dram_j});
+  const JsonValue& cnt = Field(v, "counters");
+  if (cnt.kind != JsonValue::Kind::kObj) {
+    GP_THROW("journal field 'counters' is not an object");
   }
-  r->frac_atomic_incore = fr->arr[0].Num();
-  r->frac_atomic_incache = fr->arr[1].Num();
-  r->frac_atomic_dep = fr->arr[2].Num();
-  r->frac_other = fr->arr[3].Num();
-  r->frac_frontend = fr->arr[4].Num();
-  r->frac_badspec = fr->arr[5].Num();
-  r->frac_retiring = fr->arr[6].Num();
-  r->frac_backend = fr->arr[7].Num();
-  const JVal* en = v.Get("energy");
-  if (en == nullptr || en->kind != JVal::Kind::kArr || en->arr.size() != 5)
-    return false;
-  for (const JVal& e : en->arr) {
-    if (e.kind != JVal::Kind::kNum) return false;
-  }
-  r->energy.caches_j = en->arr[0].Num();
-  r->energy.link_j = en->arr[1].Num();
-  r->energy.fu_j = en->arr[2].Num();
-  r->energy.logic_j = en->arr[3].Num();
-  r->energy.dram_j = en->arr[4].Num();
-  const JVal* cnt = v.Get("counters");
-  if (cnt == nullptr || cnt->kind != JVal::Kind::kObj) return false;
-  for (const auto& [k, cv] : cnt->obj) {
-    if (cv.kind != JVal::Kind::kNum) return false;
-    r->raw.Set(k, cv.Num());
-  }
-  return true;
+  for (const auto& [k, cv] : cnt.obj) r.raw.Set(k, cv.Num());
+  return r;
 }
 
 std::string RowToJson(const SweepRow& row) {
@@ -288,37 +137,22 @@ std::string RowToJson(const SweepRow& row) {
   return s;
 }
 
-bool RowFromJson(const std::string& line, SweepRow* row) {
-  JVal v;
-  Parser parser(line);
-  if (!parser.Parse(&v) || v.kind != JVal::Kind::kObj) return false;
-  const JVal* f = nullptr;
-  if ((f = v.Get("w")) == nullptr || f->kind != JVal::Kind::kNum) return false;
-  row->workload_idx = static_cast<std::size_t>(f->U64());
-  if ((f = v.Get("p")) == nullptr || f->kind != JVal::Kind::kNum) return false;
-  row->profile_idx = static_cast<std::size_t>(f->U64());
-  if ((f = v.Get("c")) == nullptr || f->kind != JVal::Kind::kNum) return false;
-  row->config_idx = static_cast<std::size_t>(f->U64());
-  if ((f = v.Get("workload")) == nullptr || f->kind != JVal::Kind::kStr)
-    return false;
-  row->workload = f->text;
-  if ((f = v.Get("profile")) == nullptr || f->kind != JVal::Kind::kStr)
-    return false;
-  row->profile = f->text;
-  if ((f = v.Get("config")) == nullptr || f->kind != JVal::Kind::kStr)
-    return false;
-  row->config_name = f->text;
-  if ((f = v.Get("seed")) == nullptr || f->kind != JVal::Kind::kNum)
-    return false;
-  row->seed = f->U64();
-  if ((f = v.Get("wall_ms")) == nullptr || f->kind != JVal::Kind::kNum)
-    return false;
-  row->wall_ms = f->Num();
-  if ((f = v.Get("r")) == nullptr || !ResultsFromJson(*f, &row->results))
-    return false;
-  row->status = JobStatus::kOk;
-  row->from_journal = true;
-  return true;
+// Restores one journaled OK row. Throws SimError when a field is missing
+// or has the wrong type.
+SweepRow RowFromJson(const JsonValue& v) {
+  SweepRow row;
+  row.workload_idx = static_cast<std::size_t>(Field(v, "w").U64());
+  row.profile_idx = static_cast<std::size_t>(Field(v, "p").U64());
+  row.config_idx = static_cast<std::size_t>(Field(v, "c").U64());
+  row.workload = Str(v, "workload");
+  row.profile = Str(v, "profile");
+  row.config_name = Str(v, "config");
+  row.seed = Field(v, "seed").U64();
+  row.wall_ms = Field(v, "wall_ms").Num();
+  row.results = ResultsFromJson(Field(v, "r"));
+  row.status = JobStatus::kOk;
+  row.from_journal = true;
+  return row;
 }
 
 }  // namespace
@@ -452,14 +286,9 @@ bool LoadJournal(const std::string& path, JournalData* out) {
     if (line.empty()) continue;
     if (first) {
       first = false;
-      JVal v;
-      Parser parser(line);
-      const JVal* fp = nullptr;
-      if (parser.Parse(&v) && v.kind == JVal::Kind::kObj &&
-          (fp = v.Get("fingerprint")) != nullptr &&
-          fp->kind == JVal::Kind::kStr) {
-        out->fingerprint = fp->text;
-      } else {
+      try {
+        out->fingerprint = Str(ParseJson(line), "fingerprint");
+      } catch (const SimError&) {
         ++out->dropped_lines;
       }
       continue;
@@ -470,10 +299,9 @@ bool LoadJournal(const std::string& path, JournalData* out) {
     if (line.compare(0, 14, "{\"phases_for\":") == 0) continue;
     if (line.compare(0, 13, "{\"spans_for\":") == 0) continue;
     if (line.compare(0, 16, "{\"timeline_for\":") == 0) continue;
-    SweepRow row;
-    if (RowFromJson(line, &row)) {
-      out->rows.push_back(std::move(row));
-    } else {
+    try {
+      out->rows.push_back(RowFromJson(ParseJson(line)));
+    } catch (const SimError&) {
       // Malformed or truncated (e.g. SIGKILL mid-write): the row will
       // simply be re-simulated.
       ++out->dropped_lines;

@@ -9,10 +9,10 @@
 // which, by the determinism contract, is bit-identical to what re-running
 // the job would have produced.
 //
-// The format is our own narrow JSON subset (objects, arrays, strings,
-// numbers); LoadJournal's parser handles exactly that subset and rejects
-// anything else by dropping the line, so a corrupt journal degrades to a
-// shorter one instead of a crash.
+// Each line is read by the shared strict JSON reader (common/json.h). A
+// line it rejects, or one that lacks a row field, is dropped and counted,
+// never thrown, so a corrupt journal degrades to a shorter one instead of
+// a crash.
 #ifndef GRAPHPIM_EXEC_JOURNAL_H_
 #define GRAPHPIM_EXEC_JOURNAL_H_
 

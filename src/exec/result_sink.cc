@@ -1,8 +1,5 @@
 #include "exec/result_sink.h"
 
-#include <cstdio>
-
-#include "common/log.h"
 #include "common/string_util.h"
 #include "core/report.h"
 
@@ -48,14 +45,6 @@ std::string CsvBody(const SweepResultTable& t, bool with_timing) {
     out += "\n";
   }
   return out;
-}
-
-void WriteFile(const std::string& content, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) GP_THROW("cannot open '", path, "' for writing");
-  const bool ok =
-      std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  if (std::fclose(f) != 0 || !ok) GP_THROW("cannot write '", path, "'");
 }
 
 }  // namespace
@@ -107,15 +96,15 @@ std::string ToDeterministicCsv(const SweepResultTable& t) {
 }
 
 void WriteJson(const SweepResultTable& t, const std::string& path) {
-  WriteFile(ToJson(t), path);
+  WriteTextFile(path, ToJson(t));
 }
 
 void WriteCsv(const SweepResultTable& t, const std::string& path) {
-  WriteFile(ToCsv(t), path);
+  WriteTextFile(path, ToCsv(t));
 }
 
 void WriteDeterministicCsv(const SweepResultTable& t, const std::string& path) {
-  WriteFile(ToDeterministicCsv(t), path);
+  WriteTextFile(path, ToDeterministicCsv(t));
 }
 
 }  // namespace graphpim::exec

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <future>
 #include <limits>
 #include <memory>
@@ -54,22 +53,11 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Checked numeric parses with the grid key in the diagnostic. These are
-// user errors, so they throw SimError (recoverable) rather than abort.
-// Integers share the CLI's strict ParseUint; strtod alone would stop at
-// an embedded NUL, so the double parser requires the whole string.
+// Checked integer parse with the grid key in the diagnostic: a user
+// error, so it throws SimError (recoverable) rather than abort.
 std::uint64_t ParseGridUint(const std::string& key, const std::string& val,
                             std::uint64_t max = ~std::uint64_t{0}) {
   return ParseUint("grid spec key '" + key + "'", val, max);
-}
-
-double ParseGridDouble(const std::string& key, const std::string& val) {
-  char* end = nullptr;
-  const double v = std::strtod(val.c_str(), &end);
-  if (end == val.c_str() || end != val.c_str() + val.size()) {
-    GP_THROW("grid spec key '", key, "': '", val, "' is not a number");
-  }
-  return v;
 }
 
 void RejectDuplicates(const std::vector<std::string>& names, const char* what) {
@@ -502,11 +490,10 @@ SweepGrid ParseGridSpec(const std::string& spec) {
     } else if (key == "full" || key == "topology") {
       machine.Set(key, val);  // non-numeric knobs; FromConfig validates
     } else if (is_machine_key(key)) {
-      // Numeric machine knob: check it parses here (a grid-spec typo is a
-      // SimError, not a GP_FATAL deep in Config), then let FromConfig /
-      // Validate own the range check so the grid spec and the tool CLIs
-      // reject identically.
-      ParseGridDouble(key, val);
+      // Numeric machine knob: check it parses here, so the error names
+      // the grid spec key, then let FromConfig / Validate own the range
+      // check so the grid spec and the tool CLIs reject identically.
+      ParseDouble("grid spec key '" + key + "'", val);
       machine.Set(key, val);
     } else {
       GP_THROW("unknown grid spec key '", key, "' (accepted keys: ",

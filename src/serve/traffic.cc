@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/config.h"
 #include "common/log.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -62,11 +63,8 @@ std::vector<MixEntry> ParseMixSpec(const std::string& s) {
     const std::string name = Trim(piece.substr(0, eq));
     const std::string val = Trim(piece.substr(eq + 1));
     if (name.empty()) GP_THROW("empty kind name in mix spec '", s, "'");
-    try {
-      mix.emplace_back(name, std::stod(val));
-    } catch (const std::exception&) {
-      GP_THROW("bad weight '", val, "' for kind '", name, "' in mix spec");
-    }
+    mix.emplace_back(
+        name, ParseDouble("weight of kind '" + name + "' in mix spec", val));
   }
   if (mix.empty()) GP_THROW("mix spec '", s, "' names no query kinds");
   return mix;

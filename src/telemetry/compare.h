@@ -28,8 +28,10 @@ struct FlatRun {
   const double* Find(const std::string& key) const;
 };
 
-// Parses `text` (JSON document or JSONL) into a FlatRun. Throws SimError
-// on malformed input; duplicate keys keep the first occurrence.
+// Parses `text` (JSON document or JSONL) into a FlatRun with the shared
+// strict reader (common/json.h), streaming its leaves without building a
+// tree. Throws SimError on malformed or over-deep input; duplicate keys
+// keep the first occurrence.
 FlatRun FlattenRunJson(const std::string& text);
 
 struct CompareOptions {

@@ -1,9 +1,15 @@
-// Unit tests for the common substrate: config, strings, RNG, stats, types.
+// Unit tests for the common substrate: config, JSON, strings, RNG, stats,
+// types.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string_view>
+#include <vector>
 
 #include "common/config.h"
+#include "common/json.h"
+#include "common/log.h"
 #include "common/random.h"
 #include "common/stats.h"
 #include "common/string_util.h"
@@ -67,6 +73,129 @@ TEST(Config, SetOverrides) {
   EXPECT_EQ(cfg.Items().size(), 1u);
 }
 
+// The SimError message ParseJson throws for `text`; "" when it parses.
+std::string JsonError(const std::string& text) {
+  try {
+    ParseJson(text);
+  } catch (const SimError& e) {
+    return e.message();
+  }
+  return "";
+}
+
+TEST(Json, ParsesEveryKindAndKeepsMemberOrder) {
+  const JsonValue v = ParseJson(
+      " {\"b\":[1,-2.5e3,true,false,null],\r\n\"a\":{\"s\":\"x\\ty\"},\"b\":0}\n");
+  ASSERT_EQ(v.kind, JsonValue::Kind::kObj);
+  ASSERT_EQ(v.obj.size(), 3u);
+  EXPECT_EQ(v.obj[0].first, "b");
+  EXPECT_EQ(v.obj[1].first, "a");
+  const JsonValue* b = v.Get("b");  // the first of two "b" members
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(b->arr.size(), 5u);
+  EXPECT_EQ(b->arr[0].U64(), 1u);
+  EXPECT_EQ(b->arr[1].text, "-2.5e3");  // numbers keep their raw token
+  EXPECT_DOUBLE_EQ(b->arr[1].Num(), -2500.0);
+  EXPECT_EQ(b->arr[2].kind, JsonValue::Kind::kBool);
+  EXPECT_TRUE(b->arr[2].boolean);
+  EXPECT_FALSE(b->arr[3].boolean);
+  EXPECT_EQ(b->arr[4].kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(v.Get("a")->Get("s")->text, "x\ty");
+  EXPECT_EQ(v.Get("missing"), nullptr);
+  EXPECT_EQ(b->Get("b"), nullptr);  // Get on a non-object
+  EXPECT_THROW(v.Get("a")->Num(), SimError);
+}
+
+TEST(Json, RejectsTrailingContent) {
+  EXPECT_EQ(JsonError("{} x"),
+            "malformed JSON at offset 3: expected the end of the input");
+  EXPECT_NE(JsonError("1 2"), "");
+  EXPECT_NE(JsonError("{}{}"), "");
+  EXPECT_NE(JsonError(""), "");
+  EXPECT_NE(JsonError("[1,]"), "");
+  EXPECT_NE(JsonError("{\"a\" 1}"), "");
+}
+
+TEST(Json, AcceptsOnlyRfc8259Numbers) {
+  for (const char* bad : {"01", "-01", "0x1F", "nan", "-nan", "NaN", "inf",
+                          "-inf", "Infinity", "+1", ".5", "1.", "1e", "1e+",
+                          "-", "1.5.3", "--1"}) {
+    EXPECT_NE(JsonError(bad), "") << bad;
+  }
+  EXPECT_EQ(JsonError("[0x1]"),
+            "malformed JSON at offset 2: expected ',' or ']'");
+  for (const char* good : {"0", "-0", "10", "0.5", "-1.25e-3", "1E+9", "2e9"}) {
+    EXPECT_EQ(JsonError(good), "") << good;
+  }
+}
+
+TEST(Json, DecodesEscapesToUtf8) {
+  EXPECT_EQ(ParseJson(R"("\u0001")").text, "\x01");
+  EXPECT_EQ(ParseJson(R"("\u00e9")").text, "\xc3\xa9");  // e-acute
+  EXPECT_EQ(ParseJson(R"("caf\u00C9")").text, "caf\xc3\x89");
+  EXPECT_EQ(ParseJson(R"("\u20ac")").text, "\xe2\x82\xac");
+  EXPECT_EQ(ParseJson(R"("\ud83d\ude00")").text, "\xf0\x9f\x98\x80");
+  EXPECT_EQ(ParseJson(R"("\"\\\/\b\f\n\r\t")").text, "\"\\/\b\f\n\r\t");
+  EXPECT_EQ(ParseJson("\"\xc3\xa9\"").text, "\xc3\xa9");  // raw UTF-8
+  for (const char* bad : {R"("\u00")", R"("\u00g1")", R"("\x41")",
+                          R"("\ude00")", R"("\ud83d")", R"("\ud83dx")",
+                          "\"\x01\"", "\"a\nb\"", "\"\xc3\"", "\"\xff\"",
+                          "\"\xed\xa0\x80\"", "\"\xc0\xaf\"", "\"abc"}) {
+    EXPECT_NE(JsonError(bad), "") << bad;
+  }
+}
+
+TEST(Json, U64ReadsFullRangeExactly) {
+  const JsonValue max = ParseJson("18446744073709551615");
+  EXPECT_EQ(max.U64(), 18446744073709551615ull);
+  // 2^53 + 1 does not survive a double.
+  EXPECT_EQ(ParseJson("9007199254740993").U64(), 9007199254740993ull);
+  for (const char* bad : {"18446744073709551616", "-1", "1.0", "1e3", "\"5\""}) {
+    EXPECT_THROW(ParseJson(bad).U64(), SimError) << bad;
+  }
+}
+
+TEST(Json, BoundsNestingDepth) {
+  const std::string ok = std::string(kJsonMaxDepth, '[') +
+                         std::string(kJsonMaxDepth, ']');
+  EXPECT_EQ(JsonError(ok), "");
+  const std::string deep(1'000'000, '[');
+  EXPECT_EQ(JsonError(deep), StrFormat("malformed JSON at offset %d: expected "
+                                       "at most %d levels of nesting",
+                                       kJsonMaxDepth, kJsonMaxDepth));
+  std::string objects;
+  for (int i = 0; i <= kJsonMaxDepth; ++i) objects += "{\"a\":";
+  EXPECT_NE(JsonError(objects).find("levels of nesting"), std::string::npos);
+}
+
+TEST(Json, ForEachLeafStreamsDottedPathsWithTheSameGrammar) {
+  std::vector<std::string> seen;
+  ForEachJsonLeaf(
+      R"({"a":{"b":[1,{"c":"x"}],"e":{}},"f":[true,null],"g":[]})",
+      [&](const std::string& path, const JsonValue& leaf) {
+        seen.push_back(path + "=" + (leaf.kind == JsonValue::Kind::kStr
+                                         ? leaf.text
+                                         : std::to_string(static_cast<int>(leaf.kind))));
+      });
+  EXPECT_EQ(seen, (std::vector<std::string>{"a.b.0=2", "a.b.1.c=x", "f.0=1",
+                                            "f.1=0"}));
+  seen.clear();
+  ForEachJsonLeaf(" 7 ", [&](const std::string& path, const JsonValue& leaf) {
+    seen.push_back(path + "=" + leaf.text);
+  });
+  EXPECT_EQ(seen, std::vector<std::string>{"=7"});
+  // Rejected input throws the same error as ParseJson.
+  for (const std::string& bad :
+       {std::string("{} x"), std::string("[01]"), std::string(100, '[')}) {
+    try {
+      ForEachJsonLeaf(bad, [](const std::string&, const JsonValue&) {});
+      ADD_FAILURE() << bad;
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.message(), JsonError(bad));
+    }
+  }
+}
+
 TEST(StringUtil, Split) {
   auto parts = Split("a,b,,c", ',');
   ASSERT_EQ(parts.size(), 4u);
@@ -90,6 +219,29 @@ TEST(StringUtil, StartsWith) {
 TEST(StringUtil, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 3, "x"), "3-x");
   EXPECT_EQ(StrFormat("%.2f", 1.5), "1.50");
+}
+
+TEST(StringUtil, TextFilesRoundTripBytesAndErrorsNameThePath) {
+  const std::string path = ::testing::TempDir() + "/gp_text_file.txt";
+  const std::string text = std::string("a\r\nb\0c\xff", 7);
+  WriteTextFile(path, text);
+  EXPECT_EQ(ReadTextFile(path), text);
+  WriteTextFile(path, "");  // replaces, never appends
+  EXPECT_EQ(ReadTextFile(path), "");
+  const std::vector<std::string_view> parts = {"ab", "", "c\n"};
+  WriteTextFile(path, parts);
+  EXPECT_EQ(ReadTextFile(path), "abc\n");
+  std::remove(path.c_str());
+  const std::string missing = "/no-such-dir-anywhere/x.txt";
+  for (auto fn : {+[](const std::string& p) { ReadTextFile(p); },
+                  +[](const std::string& p) { WriteTextFile(p, "x"); }}) {
+    try {
+      fn(missing);
+      ADD_FAILURE() << "no SimError";
+    } catch (const SimError& e) {
+      EXPECT_NE(e.message().find("'" + missing + "'"), std::string::npos);
+    }
+  }
 }
 
 TEST(Random, Deterministic) {

@@ -101,6 +101,29 @@ TEST(ErrorPaths, ConfigIntRejectsOverflowAndExcess) {
                  "config key 'n': -1 is out of range [0, 8]");
 }
 
+TEST(ErrorPaths, ConfigDoubleRejectsTrailingTextBlanksAndNonFinite) {
+  Config cfg;
+  auto get = [&](const std::string& v) {
+    cfg.Set("x", v);
+    return cfg.GetDouble("x", 0.0);
+  };
+  // strtod alone reads "1e6abc" as 1e6 and "" as 0.
+  for (const std::string v : {"", "1e6abc", " 5", "5 ", "abc", "1,5"}) {
+    ExpectSimError([&] { get(v); },
+                   "config key 'x': '" + v + "' is not a number");
+  }
+  ExpectSimError([&] { get(std::string("2") + '\0' + "x"); },
+                 "is not a number");
+  for (const std::string v : {"nan", "-nan", "inf", "-infinity", "1e999"}) {
+    ExpectSimError([&] { get(v); }, "config key 'x': '" + v + "' is not finite");
+  }
+  EXPECT_DOUBLE_EQ(get("2.5"), 2.5);
+  EXPECT_DOUBLE_EQ(get("-1e-3"), -1e-3);
+  EXPECT_DOUBLE_EQ(ParseDouble("grid spec key 'k'", "7"), 7.0);
+  ExpectSimError([] { ParseDouble("grid spec key 'k'", "7x"); },
+                 "grid spec key 'k': '7x' is not a number");
+}
+
 TEST(ErrorPaths, RegionExhaustionIsFatal) {
   graph::Region r(0, 128);
   r.Allocate(100);

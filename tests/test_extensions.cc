@@ -390,7 +390,8 @@ TEST(Report, JsonWritesAndParsesRoughly) {
   EXPECT_NE(json.find("\"cycles\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   std::string path = ::testing::TempDir() + "/graphpim_report.json";
-  EXPECT_TRUE(core::WriteJson(r, path));
+  EXPECT_NO_THROW(core::WriteJson(r, path));
+  EXPECT_THROW(core::WriteJson(r, "/no-such-dir-anywhere/r.json"), SimError);
   std::remove(path.c_str());
 }
 

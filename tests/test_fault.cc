@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "common/log.h"
+#include "common/random.h"
+#include "common/string_util.h"
 #include "core/report.h"
 #include "exec/journal.h"
 #include "exec/result_sink.h"
@@ -434,6 +436,56 @@ TEST(Journal, ResumeAfterTruncationIsBitIdentical) {
   exec::SweepResultTable again = exec::SweepRunner(resume_opts).Run(SmallGrid());
   EXPECT_EQ(again.resumed_rows, 2u);
   EXPECT_EQ(exec::ToDeterministicCsv(again), exec::ToDeterministicCsv(full));
+  std::remove(path.c_str());
+}
+
+// A journal damaged in one byte must load without a crash, and every row
+// it restores must be one that was journaled. Inverting all bits of a
+// byte turns ASCII into a byte >= 0x80 that valid UTF-8 JSON cannot hold
+// there, so each such mutant must drop its line rather than restore an
+// altered row; a random replacement byte may form a different valid row,
+// so those mutants only have to load.
+TEST(Journal, ByteFlippedJournalsLoadOnlyJournaledRows) {
+  const std::string path = TempPath("journal_flip.jsonl");
+  std::remove(path.c_str());
+  exec::SweepRunner::Options opts;
+  opts.jobs = 1;
+  opts.journal_path = path;
+  const exec::SweepResultTable t = exec::SweepRunner(opts).Run(SmallGrid());
+  const std::string good = ReadTextFile(path);
+  ASSERT_GT(good.size(), 100u);
+
+  auto journaled = [&](const exec::SweepRow& r) {
+    for (const exec::SweepRow& o : t.rows) {
+      if (r.workload_idx == o.workload_idx &&
+          r.profile_idx == o.profile_idx && r.config_idx == o.config_idx &&
+          r.workload == o.workload && r.profile == o.profile &&
+          r.config_name == o.config_name && r.seed == o.seed &&
+          r.wall_ms == o.wall_ms &&
+          core::ToJson(r.results) == core::ToJson(o.results) &&
+          r.results.raw.AllItems() == o.results.raw.AllItems()) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  SplitMix64 rng(0x6a6f75726e616cULL);
+  for (int i = 0; i < 300; ++i) {
+    const std::size_t at = rng.Next() % good.size();
+    const bool invert = i % 2 == 0;
+    std::string bad = good;
+    bad[at] = static_cast<char>(invert ? ~bad[at] : rng.Next() & 0xFF);
+    WriteTextFile(path, bad);
+    exec::JournalData jd;
+    ASSERT_TRUE(exec::LoadJournal(path, &jd));
+    EXPECT_LE(jd.rows.size(), t.rows.size()) << "byte " << at;
+    if (!invert) continue;
+    EXPECT_GE(jd.dropped_lines, 1u) << "byte " << at;
+    for (const exec::SweepRow& r : jd.rows) {
+      EXPECT_TRUE(journaled(r)) << "byte " << at;
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -3,6 +3,7 @@
 // hop costs, cube-scaling sweeps, and FromConfig/Validate error paths.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -241,6 +242,12 @@ TEST(SimConfigApi, ValidateNamesTheOffendingKey) {
   expect_throw_naming("threads", "0", "threads");
   expect_throw_naming("threads", "2.5", "threads");
   expect_throw_naming("linkbw", "abc", "linkbw");  // malformed, not fatal
+  // NaN would pass a `v < min || v > max` gate; inf overflows no gate.
+  expect_throw_naming("linkbw", "nan", "linkbw");
+  expect_throw_naming("link-ber", "nan", "link-ber");
+  expect_throw_naming("trace-sample-rate", "nan", "trace-sample-rate");
+  expect_throw_naming("linkbw", "inf", "linkbw");
+  expect_throw_naming("linkbw", "2x", "linkbw");
   expect_throw_naming("num-cubes", "abc", "num-cubes");
   expect_throw_naming("hybrid", "1.5", "hybrid");
   expect_throw_naming("hybrid", "-0.1", "hybrid");
@@ -272,6 +279,9 @@ TEST(SimConfigApi, ValidateNamesTheOffendingKey) {
   EXPECT_THROW({ sc.Validate(); }, SimError);
   sc = core::SimConfig::Scaled(core::Mode::kGraphPim);
   sc.hmc.cube_page_bytes = 4096 + 1;
+  EXPECT_THROW({ sc.Validate(); }, SimError);
+  sc = core::SimConfig::Scaled(core::Mode::kGraphPim);
+  sc.hmc.link_bw_scale = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW({ sc.Validate(); }, SimError);
 }
 

@@ -15,19 +15,22 @@
 //
 // Exit status: 0 = within tolerance, 2 = drift over tolerance (or missing
 // keys with --fail-on-missing), 1 = usage or I/O error. The argv parsing
-// is by hand: this tool compares artifacts from ANY build, so it must not
-// depend on the simulator's config machinery evolving in lockstep.
+// is by hand: this tool compares artifacts from ANY build, so it takes no
+// flag machinery from the simulator beyond the strict number parsers.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/config.h"
+#include "common/log.h"
+#include "common/string_util.h"
 #include "telemetry/compare.h"
 
+using graphpim::ParseDouble;
+using graphpim::ParseUint;
+using graphpim::ReadTextFile;
 using graphpim::telemetry::CompareOptions;
 using graphpim::telemetry::CompareRuns;
 using graphpim::telemetry::DriftReport;
@@ -42,21 +45,11 @@ constexpr const char* kUsage =
     "         [--abs-tolerance=ABS] [--tol=key=REL,...] [--keys=a,b]\n"
     "         [--fail-on-missing] [--max-rows=N]\n";
 
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return false;
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
-// strtod with full-token validation; false on trailing garbage.
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
+// A tolerance: one finite number >= 0 (see ParseDouble).
+double ParseTolerance(const std::string& what, const std::string& val) {
+  const double tol = ParseDouble(what, val);
+  if (tol < 0.0) GP_THROW(what, ": ", val, " is negative");
+  return tol;
 }
 
 std::vector<std::string> SplitCommas(const std::string& s) {
@@ -74,86 +67,58 @@ std::vector<std::string> SplitCommas(const std::string& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> files;
-  CompareOptions opts;
-  std::size_t max_rows = 24;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&](const char* flag) -> std::string {
-      return arg.substr(std::strlen(flag));
-    };
-    if (arg.rfind("--tolerance=", 0) == 0) {
-      if (!ParseDouble(value_of("--tolerance="), &opts.rel_tol) ||
-          opts.rel_tol < 0.0) {
-        std::fprintf(stderr, "graphpim_compare: bad --tolerance value\n");
-        return 1;
-      }
-    } else if (arg.rfind("--abs-tolerance=", 0) == 0) {
-      if (!ParseDouble(value_of("--abs-tolerance="), &opts.abs_tol) ||
-          opts.abs_tol < 0.0) {
-        std::fprintf(stderr, "graphpim_compare: bad --abs-tolerance value\n");
-        return 1;
-      }
-    } else if (arg.rfind("--tol=", 0) == 0) {
-      for (const std::string& kv : SplitCommas(value_of("--tol="))) {
-        const std::size_t eq = kv.find('=');
-        double tol = 0.0;
-        if (eq == std::string::npos || eq == 0 ||
-            !ParseDouble(kv.substr(eq + 1), &tol) || tol < 0.0) {
-          std::fprintf(stderr,
-                       "graphpim_compare: bad --tol entry '%s' "
-                       "(want key=REL)\n",
-                       kv.c_str());
-          return 1;
-        }
-        opts.per_key.emplace_back(kv.substr(0, eq), tol);
-      }
-    } else if (arg.rfind("--keys=", 0) == 0) {
-      for (const std::string& k : SplitCommas(value_of("--keys="))) {
-        opts.keys.push_back(k);
-      }
-    } else if (arg == "--fail-on-missing") {
-      opts.fail_on_missing = true;
-    } else if (arg.rfind("--max-rows=", 0) == 0) {
-      double v = 0.0;
-      if (!ParseDouble(value_of("--max-rows="), &v) || v < 0.0) {
-        std::fprintf(stderr, "graphpim_compare: bad --max-rows value\n");
-        return 1;
-      }
-      max_rows = static_cast<std::size_t>(v);
-    } else if (arg == "--help" || arg == "-h") {
-      std::fputs(kUsage, stdout);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "graphpim_compare: unknown flag '%s'\n%s",
-                   arg.c_str(), kUsage);
-      return 1;
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (files.size() != 2) {
-    std::fprintf(stderr, "graphpim_compare: need exactly two files\n%s",
-                 kUsage);
-    return 1;
-  }
-
-  std::string base_text, head_text;
-  if (!ReadFile(files[0], &base_text)) {
-    std::fprintf(stderr, "graphpim_compare: cannot read '%s'\n",
-                 files[0].c_str());
-    return 1;
-  }
-  if (!ReadFile(files[1], &head_text)) {
-    std::fprintf(stderr, "graphpim_compare: cannot read '%s'\n",
-                 files[1].c_str());
-    return 1;
-  }
-
   try {
-    const FlatRun base = FlattenRunJson(base_text);
-    const FlatRun head = FlattenRunJson(head_text);
+    std::vector<std::string> files;
+    CompareOptions opts;
+    std::size_t max_rows = 24;
+
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto value_of = [&](const char* flag) -> std::string {
+        return arg.substr(std::strlen(flag));
+      };
+      if (arg.rfind("--tolerance=", 0) == 0) {
+        opts.rel_tol = ParseTolerance("--tolerance", value_of("--tolerance="));
+      } else if (arg.rfind("--abs-tolerance=", 0) == 0) {
+        opts.abs_tol =
+            ParseTolerance("--abs-tolerance", value_of("--abs-tolerance="));
+      } else if (arg.rfind("--tol=", 0) == 0) {
+        for (const std::string& kv : SplitCommas(value_of("--tol="))) {
+          const std::size_t eq = kv.find('=');
+          if (eq == std::string::npos || eq == 0) {
+            GP_THROW("bad --tol entry '", kv, "' (want key=REL)");
+          }
+          opts.per_key.emplace_back(
+              kv.substr(0, eq),
+              ParseTolerance("--tol entry '" + kv + "'", kv.substr(eq + 1)));
+        }
+      } else if (arg.rfind("--keys=", 0) == 0) {
+        for (const std::string& k : SplitCommas(value_of("--keys="))) {
+          opts.keys.push_back(k);
+        }
+      } else if (arg == "--fail-on-missing") {
+        opts.fail_on_missing = true;
+      } else if (arg.rfind("--max-rows=", 0) == 0) {
+        max_rows = ParseUint("--max-rows", value_of("--max-rows="));
+      } else if (arg == "--help" || arg == "-h") {
+        std::fputs(kUsage, stdout);
+        return 0;
+      } else if (!arg.empty() && arg[0] == '-') {
+        std::fprintf(stderr, "graphpim_compare: unknown flag '%s'\n%s",
+                     arg.c_str(), kUsage);
+        return 1;
+      } else {
+        files.push_back(arg);
+      }
+    }
+    if (files.size() != 2) {
+      std::fprintf(stderr, "graphpim_compare: need exactly two files\n%s",
+                   kUsage);
+      return 1;
+    }
+
+    const FlatRun base = FlattenRunJson(ReadTextFile(files[0]));
+    const FlatRun head = FlattenRunJson(ReadTextFile(files[1]));
     const DriftReport report = CompareRuns(base, head, opts);
     std::printf("base: %s (%zu keys)\nhead: %s (%zu keys)\n\n",
                 files[0].c_str(), base.values.size(), files[1].c_str(),

@@ -35,9 +35,9 @@
 // a pure function of the flags — bit-identical across --jobs counts and
 // reruns (the serve-identity gate in scripts/golden_identity.sh diffs
 // exactly that region). The wall-clock line prints after the end marker.
+#include <cmath>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <utility>
@@ -63,14 +63,9 @@ std::vector<double> ParseDoubleList(const std::string& arg,
   std::vector<double> out;
   for (const std::string& part : Split(arg, ',')) {
     const std::string s = Trim(part);
-    if (s.empty()) continue;
-    try {
-      out.push_back(std::stod(s));
-    } catch (const std::exception&) {
-      GP_THROW("bad value '", s, "' in --", flag);
-    }
+    if (!s.empty()) out.push_back(ParseDouble("--" + flag, s));
   }
-  GP_CHECK(!out.empty(), "--", flag, " needs at least one value");
+  if (out.empty()) GP_THROW("--", flag, " needs at least one value");
   return out;
 }
 
@@ -127,9 +122,11 @@ int Run(const Config& cfg) {
   std::vector<std::pair<std::string, core::SimConfig>> configs;
   for (core::Mode m : modes) {
     for (double c : cube_list) {
+      if (!(c >= 1 && c <= std::numeric_limits<std::uint32_t>::max() &&
+            c == std::floor(c))) {
+        GP_THROW("--num-cubes entries must be positive integers, got ", c);
+      }
       const auto n = static_cast<std::uint32_t>(c);
-      GP_CHECK(n >= 1 && static_cast<double>(n) == c,
-               "--num-cubes entries must be positive integers");
       Config one = cfg;
       one.Set("num-cubes", std::to_string(n));
       one.Set("num_cubes", std::to_string(n));
@@ -238,12 +235,11 @@ int Run(const Config& cfg) {
   }
   if (cfg.Has("timeline-out")) {
     const std::string path = cfg.GetString("timeline-out", "");
-    std::ofstream f(path, std::ios::binary);
-    if (!f) GP_THROW("cannot open timeline output file '", path, "'");
+    std::string text;
     for (const trace::PointWindows& pw : windows) {
-      f << trace::WindowsToJsonl(*pw.windows, pw.point);
+      text += trace::WindowsToJsonl(*pw.windows, pw.point);
     }
-    if (!f) GP_THROW("failed writing timeline output file '", path, "'");
+    WriteTextFile(path, text);
     std::printf("telemetry timeline written to %s\n", path.c_str());
   }
   return 0;

@@ -49,7 +49,6 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <functional>
 #include <future>
 #include <limits>
@@ -335,10 +334,7 @@ int RunMain(const Config& cfg) {
   }
 
   if (cfg.Has("json")) {
-    if (!core::WriteJson(last, cfg.GetString("json", ""))) {
-      GP_THROW("config key 'json': cannot write '", cfg.GetString("json", ""),
-               "'");
-    }
+    core::WriteJson(last, cfg.GetString("json", ""));
     std::printf("JSON written to %s\n", cfg.GetString("json", "").c_str());
   }
   if (want_phases) {
@@ -354,10 +350,7 @@ int RunMain(const Config& cfg) {
   }
   if (cfg.Has("timeline-out")) {
     const std::string path = cfg.GetString("timeline-out", "");
-    std::ofstream f(path, std::ios::binary);
-    if (!f) GP_THROW("cannot open timeline output file '", path, "'");
-    f << trace::WindowsToJsonl(timeline);
-    if (!f) GP_THROW("failed writing timeline output file '", path, "'");
+    WriteTextFile(path, trace::WindowsToJsonl(timeline));
     std::printf("telemetry timeline (%zu windows, mode %s) written to %s\n",
                 timeline.intervals().size(), last.mode.c_str(), path.c_str());
   }
