@@ -21,8 +21,8 @@ void graphpim::bench::AblationBypass(const BenchContext& ctx) {
   std::printf("%-8s %12s %12s %12s\n", "workload", "Baseline", "UC-NoPIM",
               "GraphPIM");
   const std::vector<std::string> names = {"bfs", "dc", "ccomp", "kcore"};
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-    auto exp = ctx.MakeExperiment(name);
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
+    auto exp = ctx.MakeExperiment(names[i]);
     return RunPaired(*exp,
                      {core::Mode::kBaseline, core::Mode::kUncacheNoPim,
                       core::Mode::kGraphPim},

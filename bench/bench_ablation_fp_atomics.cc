@@ -16,14 +16,16 @@ void graphpim::bench::AblationFpAtomics(const BenchContext& ctx) {
   std::printf("%-8s %14s %14s %16s\n", "workload", "GraphPIM+FP", "GraphPIM-noFP",
               "offloaded (+FP)");
   const std::vector<std::string> names = {"prank", "bc", "bfs", "dc"};
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-    auto exp = ctx.MakeExperiment(name);
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
+    auto exp = ctx.MakeExperiment(names[i]);
     core::SimConfig without = ctx.MakeConfig(core::Mode::kGraphPim);
     without.hmc.enable_fp_atomics = false;
-    return RunGrid(*exp,
-                   {ctx.MakeConfig(core::Mode::kBaseline),
-                    ctx.MakeConfig(core::Mode::kGraphPim), without},
-                   ctx);
+    const std::vector<core::SimConfig> cfgs = {
+        ctx.MakeConfig(core::Mode::kBaseline),
+        ctx.MakeConfig(core::Mode::kGraphPim), without};
+    return exec::ParallelMap(ctx.Pool(), cfgs.size(), [&](std::size_t k) {
+      return exp->Run(cfgs[k]);
+    });
   });
   for (std::size_t i = 0; i < names.size(); ++i) {
     const core::SimResults& base = rows[i][0];

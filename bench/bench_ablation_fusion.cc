@@ -27,8 +27,8 @@ void graphpim::bench::AblationFusion(const BenchContext& ctx) {
     core::SimResults fused;
     workloads::FusionStats fstats;
   };
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-    auto exp = ctx.MakeExperiment(name);
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
+    auto exp = ctx.MakeExperiment(names[i]);
     auto rs = RunPaired(*exp, {core::Mode::kBaseline, core::Mode::kGraphPim}, ctx);
     Row r;
     r.base = std::move(rs[0]);

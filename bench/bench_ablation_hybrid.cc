@@ -21,15 +21,17 @@ void graphpim::bench::AblationHybrid(const BenchContext& ctx) {
   for (double f : fractions) std::printf("  HMC=%.0f%%", 100 * f);
   std::printf("\n");
   const std::vector<std::string> names = {"dc", "bfs", "prank"};
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-    auto exp = ctx.MakeExperiment(name);
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
+    auto exp = ctx.MakeExperiment(names[i]);
     std::vector<core::SimConfig> cfgs = {ctx.MakeConfig(core::Mode::kBaseline)};
     for (double f : fractions) {
       core::SimConfig cfg = ctx.MakeConfig(core::Mode::kGraphPim);
       cfg.pmr_hmc_fraction = f;
       cfgs.push_back(cfg);
     }
-    return RunGrid(*exp, cfgs, ctx);
+    return exec::ParallelMap(ctx.Pool(), cfgs.size(), [&](std::size_t k) {
+      return exp->Run(cfgs[k]);
+    });
   });
   for (std::size_t i = 0; i < names.size(); ++i) {
     const core::SimResults& base = rows[i][0];

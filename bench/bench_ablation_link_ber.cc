@@ -35,7 +35,8 @@ void graphpim::bench::AblationLinkBer(const BenchContext& ctx) {
       cfgs.push_back(c);
     }
   }
-  const std::vector<core::SimResults> rows = RunGrid(*exp, cfgs, ctx);
+  const std::vector<core::SimResults> rows = exec::ParallelMap(
+      ctx.Pool(), cfgs.size(), [&](std::size_t k) { return exp->Run(cfgs[k]); });
 
   std::printf("%-10s %14s %14s %9s %10s %10s\n", "link BER", "baseline",
               "GraphPIM", "speedup", "retries", "poisoned");

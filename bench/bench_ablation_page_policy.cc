@@ -17,8 +17,8 @@ void graphpim::bench::AblationPagePolicy(const BenchContext& ctx) {
   std::printf("%-8s   %10s %10s   %10s %10s\n", "workload", "open", "closed",
               "open", "closed");
   const std::vector<std::string> names = {"dc", "bfs", "kcore", "prank"};
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-    auto exp = ctx.MakeExperiment(name);
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
+    auto exp = ctx.MakeExperiment(names[i]);
     std::vector<core::SimConfig> cfgs;
     for (bool closed : {false, true}) {
       core::SimConfig bcfg = ctx.MakeConfig(core::Mode::kBaseline);
@@ -28,7 +28,9 @@ void graphpim::bench::AblationPagePolicy(const BenchContext& ctx) {
       cfgs.push_back(bcfg);
       cfgs.push_back(pcfg);
     }
-    return RunGrid(*exp, cfgs, ctx);
+    return exec::ParallelMap(ctx.Pool(), cfgs.size(), [&](std::size_t k) {
+      return exp->Run(cfgs[k]);
+    });
   });
   for (std::size_t i = 0; i < names.size(); ++i) {
     // Order per workload: base/open, pim/open, base/closed, pim/closed.

@@ -17,8 +17,8 @@ void graphpim::bench::Fig01Ipc(const BenchContext& ctx) {
   std::printf("%-8s %-4s %8s\n", "workload", "cat", "IPC");
   const auto names = workloads::AllWorkloadNames();
   const core::SimConfig cfg = ctx.MakeConfig(core::Mode::kBaseline);
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-    return ctx.MakeExperiment(name)->Run(cfg);
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
+    return ctx.MakeExperiment(names[i])->Run(cfg);
   });
   for (std::size_t i = 0; i < names.size(); ++i) {
     auto wl = workloads::CreateWorkload(names[i]);

@@ -18,8 +18,8 @@ void graphpim::bench::Fig02Breakdown(const BenchContext& ctx) {
               "frontend", "badspec", "retire", "L1D-MPKI", "L2-MPKI", "L3-MPKI");
   const auto names = workloads::AllWorkloadNames();
   const core::SimConfig cfg = ctx.MakeConfig(core::Mode::kBaseline);
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-    return ctx.MakeExperiment(name)->Run(cfg);
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
+    return ctx.MakeExperiment(names[i])->Run(cfg);
   });
   for (std::size_t i = 0; i < names.size(); ++i) {
     const core::SimResults& r = rows[i];

@@ -27,8 +27,8 @@ void graphpim::bench::Fig04AtomicOverhead(const BenchContext& ctx) {
     core::SimResults with;
     core::SimResults without;
   };
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-    auto exp = ctx.MakeExperiment(name);
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
+    auto exp = ctx.MakeExperiment(names[i]);
     Row r;
     r.with = exp->Run(cfg);
     workloads::Trace plain = workloads::ReplaceAtomicsWithPlain(exp->trace());

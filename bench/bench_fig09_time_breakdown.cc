@@ -30,8 +30,8 @@ void graphpim::bench::Fig09TimeBreakdown(const BenchContext& ctx) {
     core::SimResults with[2];
     core::SimResults without[2];
   };
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-    auto exp = ctx.MakeExperiment(name);
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t w) {
+    auto exp = ctx.MakeExperiment(names[w]);
     workloads::Trace plain = workloads::ReplaceAtomicsWithPlain(exp->trace());
     Row r;
     int i = 0;

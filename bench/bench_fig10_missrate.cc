@@ -22,8 +22,8 @@ void graphpim::bench::Fig10Missrate(const BenchContext& ctx) {
               "atomic-miss");
   const auto names = workloads::EvalWorkloadNames();
   const core::SimConfig cfg = ctx.MakeConfig(core::Mode::kBaseline);
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-    return ctx.MakeExperiment(name)->Run(cfg);
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
+    return ctx.MakeExperiment(names[i])->Run(cfg);
   });
   for (std::size_t i = 0; i < names.size(); ++i) {
     const core::SimResults& base = rows[i];

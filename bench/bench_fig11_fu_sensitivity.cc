@@ -20,15 +20,17 @@ void graphpim::bench::Fig11FuSensitivity(const BenchContext& ctx) {
   for (std::uint32_t f : fus) std::printf("   FU=%-2u", f);
   std::printf("\n");
   const auto names = workloads::EvalWorkloadNames();
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-    auto exp = ctx.MakeExperiment(name);
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
+    auto exp = ctx.MakeExperiment(names[i]);
     std::vector<core::SimConfig> cfgs = {ctx.MakeConfig(core::Mode::kBaseline)};
     for (std::uint32_t f : fus) {
       core::SimConfig cfg = ctx.MakeConfig(core::Mode::kGraphPim);
       cfg.hmc.fus_per_vault = f;
       cfgs.push_back(cfg);
     }
-    return RunGrid(*exp, cfgs, ctx);
+    return exec::ParallelMap(ctx.Pool(), cfgs.size(), [&](std::size_t k) {
+      return exp->Run(cfgs[k]);
+    });
   });
   for (std::size_t i = 0; i < names.size(); ++i) {
     const core::SimResults& base = rows[i][0];

@@ -18,8 +18,8 @@ void graphpim::bench::Fig12Bandwidth(const BenchContext& ctx) {
   std::printf("%-8s %-9s %9s %9s %9s\n", "workload", "config", "request",
               "response", "total");
   const auto names = workloads::EvalWorkloadNames();
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-    auto exp = ctx.MakeExperiment(name);
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
+    auto exp = ctx.MakeExperiment(names[i]);
     return RunPaired(
         *exp, {core::Mode::kBaseline, core::Mode::kUPei, core::Mode::kGraphPim},
         ctx);

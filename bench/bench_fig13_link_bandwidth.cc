@@ -20,8 +20,8 @@ void graphpim::bench::Fig13LinkBandwidth(const BenchContext& ctx) {
   std::printf("%-8s   %6s %6s %6s    %6s %6s %6s\n", "workload", "half", "1x",
               "double", "half", "1x", "double");
   const auto names = workloads::EvalWorkloadNames();
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-    auto exp = ctx.MakeExperiment(name);
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
+    auto exp = ctx.MakeExperiment(names[i]);
     std::vector<core::SimConfig> cfgs;
     for (core::Mode mode : {core::Mode::kBaseline, core::Mode::kGraphPim}) {
       for (double s : scales) {
@@ -30,7 +30,9 @@ void graphpim::bench::Fig13LinkBandwidth(const BenchContext& ctx) {
         cfgs.push_back(cfg);
       }
     }
-    return RunGrid(*exp, cfgs, ctx);
+    return exec::ParallelMap(ctx.Pool(), cfgs.size(), [&](std::size_t k) {
+      return exp->Run(cfgs[k]);
+    });
   });
   for (std::size_t i = 0; i < names.size(); ++i) {
     // Reference: baseline at 1x bandwidth (index 1 in the scales order).

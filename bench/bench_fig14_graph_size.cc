@@ -47,12 +47,12 @@ void graphpim::bench::Fig14GraphSize(const BenchContext& ctx) {
     std::vector<double> vs_upei;
     std::vector<double> vs_base;
   };
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
     Row row;
     for (const Size& s : sizes) {
       BenchContext local = ctx;
       local.vertices = s.n;
-      auto exp = local.MakeExperiment(name);
+      auto exp = local.MakeExperiment(names[i]);
       auto rs = RunPaired(
           *exp,
           {core::Mode::kBaseline, core::Mode::kUPei, core::Mode::kGraphPim},

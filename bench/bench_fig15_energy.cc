@@ -19,8 +19,8 @@ void graphpim::bench::Fig15Energy(const BenchContext& ctx) {
   double sum = 0;
   int n = 0;
   const auto names = workloads::EvalWorkloadNames();
-  const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-    auto exp = ctx.MakeExperiment(name);
+  const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
+    auto exp = ctx.MakeExperiment(names[i]);
     return RunPaired(*exp, {core::Mode::kBaseline, core::Mode::kGraphPim}, ctx);
   });
   for (std::size_t i = 0; i < names.size(); ++i) {

@@ -100,8 +100,9 @@ void graphpim::bench::Fig16ModelValidation(const BenchContext& ctx) {
   // Measure counters for every workload, then fit the two machine
   // constants (AIO_pim, K_bypass) by least squares across the suite —
   // the counter-driven calibration a real deployment would perform once.
-  const std::vector<Counters> cs = ParallelMap(
-      names, ctx, [&](const std::string& name) { return Measure(ctx, name); });
+  const std::vector<Counters> cs = exec::ParallelMap(
+      ctx.Pool(), names.size(),
+      [&](std::size_t i) { return Measure(ctx, names[i]); });
 
   // Target per workload: residual after the measured atomic removal is a
   // linear function of [r, r*amiss, -p]; solve the 3x3 normal equations.

@@ -71,8 +71,9 @@ void graphpim::bench::Fig17Realworld(const BenchContext& ctx) {
       stage_keys.emplace_back(ai, si);
     }
   }
-  const auto stage_rows = ParallelMap(
-      stage_keys, ctx, [&](const std::pair<std::size_t, std::size_t>& key) {
+  const auto stage_rows = exec::ParallelMap(
+      ctx.Pool(), stage_keys.size(), [&](std::size_t i) {
+        const std::pair<std::size_t, std::size_t>& key = stage_keys[i];
         const AppSpec& app = apps[key.first];
         BenchContext local = ctx;
         local.profile = app.profile;

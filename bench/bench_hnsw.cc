@@ -83,14 +83,9 @@ void graphpim::bench::Hnsw(const BenchContext& ctx) {
               "self-check", recall, ann.k, ann.queries);
 
   // --- part 2: the simulated offload win --------------------------------
-  core::Experiment::Options eo;
-  eo.num_threads = ctx.threads;
-  eo.seed = ctx.seed;
-  eo.op_cap = ctx.op_cap;
-  eo.params.ann = ann;
-  const core::Experiment exp(ctx.profile, ctx.vertices, "hnsw", eo);
+  const auto exp = ctx.MakeExperiment("hnsw");
   const auto rows = RunPaired(
-      exp, {core::Mode::kBaseline, core::Mode::kUPei, core::Mode::kGraphPim},
+      *exp, {core::Mode::kBaseline, core::Mode::kUPei, core::Mode::kGraphPim},
       ctx);
   const core::SimResults& base = rows[0];
   std::printf("%-10s %12s %10s %12s %10s\n", "machine", "cycles", "speedup",
@@ -105,7 +100,7 @@ void graphpim::bench::Hnsw(const BenchContext& ctx) {
                 static_cast<unsigned long long>(r.offloaded_atomics),
                 Bar(core::Speedup(base, r) / 2.5).c_str());
   }
-  const auto* hw = dynamic_cast<const workloads::HnswWorkload*>(&exp.workload());
+  const auto* hw = dynamic_cast<const workloads::HnswWorkload*>(&exp->workload());
   if (hw != nullptr) {
     std::printf("\nworkload recall@%d = %.4f over %d queries\n", ann.k,
                 hw->recall(), ann.queries);

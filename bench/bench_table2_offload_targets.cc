@@ -17,8 +17,8 @@ void graphpim::bench::Table2OffloadTargets(const BenchContext& ctx) {
               "PIM-atomic type", "offloaded");
   const core::SimConfig cfg = ctx.MakeConfig(core::Mode::kGraphPim);
   auto run_all = [&](const std::vector<std::string>& names) {
-    const auto rows = ParallelMap(names, ctx, [&](const std::string& name) {
-      return ctx.MakeExperiment(name)->Run(cfg);
+    const auto rows = exec::ParallelMap(ctx.Pool(), names.size(), [&](std::size_t i) {
+      return ctx.MakeExperiment(names[i])->Run(cfg);
     });
     for (std::size_t i = 0; i < names.size(); ++i) {
       auto wl = workloads::CreateWorkload(names[i]);

@@ -29,36 +29,12 @@ exec::ThreadPool& BenchContext::Pool() const {
   return *pool_;
 }
 
-std::vector<core::SimResults> RunGrid(const core::Experiment& exp,
-                                      const std::vector<core::SimConfig>& cfgs,
-                                      const BenchContext& ctx) {
-  exec::ThreadPool& pool = ctx.Pool();
-  if (pool.OnWorkerThread()) {
-    // Nested use (e.g. inside ParallelMap): run inline; blocking on the
-    // pool from a worker could starve it. Results are identical either way.
-    std::vector<core::SimResults> out;
-    out.reserve(cfgs.size());
-    for (const core::SimConfig& cfg : cfgs) out.push_back(exp.Run(cfg));
-    return out;
-  }
-  std::vector<std::future<core::SimResults>> futs;
-  futs.reserve(cfgs.size());
-  for (const core::SimConfig& cfg : cfgs) {
-    futs.push_back(pool.Submit([&exp, cfg] { return exp.Run(cfg); }));
-  }
-  std::vector<core::SimResults> out;
-  out.reserve(cfgs.size());
-  for (auto& f : futs) out.push_back(f.get());
-  return out;
-}
-
 std::vector<core::SimResults> RunPaired(const core::Experiment& exp,
                                         const std::vector<core::Mode>& modes,
                                         const BenchContext& ctx) {
-  std::vector<core::SimConfig> cfgs;
-  cfgs.reserve(modes.size());
-  for (core::Mode m : modes) cfgs.push_back(ctx.MakeConfig(m));
-  return RunGrid(exp, cfgs, ctx);
+  return exec::ParallelMap(ctx.Pool(), modes.size(), [&](std::size_t i) {
+    return exp.Run(ctx.MakeConfig(modes[i]));
+  });
 }
 
 void PrintHeader(const std::string& title, const BenchContext& ctx) {

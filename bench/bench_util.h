@@ -8,14 +8,11 @@
 //   --threads=N     worker threads (== cores simulated)
 //   --seed=N        generator seed
 //   --profile=P     synthetic graph profile (ldbc, bitcoin, twitter)
-//   --jobs=N        host threads replaying configs in parallel
-//                   (0 = hardware concurrency; results are identical for
-//                   any N — see src/exec determinism contract)
+//   --jobs=N        width of the replay pool (0 = hardware concurrency)
 // plus every machine knob of the SimConfig field table.
 #ifndef GRAPHPIM_BENCH_BENCH_UTIL_H_
 #define GRAPHPIM_BENCH_BENCH_UTIL_H_
 
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,52 +39,30 @@ struct BenchContext {
     return core::SimConfig::FromConfig(cfg, mode);
   }
 
+  // The trace is shaped by the same pmem.enable / ann.* rule as every
+  // driver's (core::ShapeTraceFor), so --pmem-enable=1 reaches it.
   std::unique_ptr<core::Experiment> MakeExperiment(const std::string& workload) const {
     core::Experiment::Options o;
     o.num_threads = threads;
     o.seed = seed;
     o.op_cap = op_cap;
+    core::ShapeTraceFor({MakeConfig(core::Mode::kGraphPim)}, &o);
     return std::make_unique<core::Experiment>(profile, vertices, workload, o);
   }
 
   // Process-wide replay pool, created on first use with `jobs` workers.
+  // Benches fan out over it with exec::ParallelMap.
   exec::ThreadPool& Pool() const;
 
  private:
   mutable std::shared_ptr<exec::ThreadPool> pool_;
 };
 
-// Replays `exp` under every config on the shared pool; results come back
-// in input order, bit-identical to serial exp.Run() calls.
-std::vector<core::SimResults> RunGrid(const core::Experiment& exp,
-                                      const std::vector<core::SimConfig>& cfgs,
-                                      const BenchContext& ctx);
-
-// Paired-run helper: replays `exp` under ctx.MakeConfig(m) for each mode,
-// in parallel, keeping the paper's paired-trace methodology.
+// Replays `exp` under ctx.MakeConfig(m) for each mode (the paper's
+// paired-trace methodology), in input order.
 std::vector<core::SimResults> RunPaired(const core::Experiment& exp,
                                         const std::vector<core::Mode>& modes,
                                         const BenchContext& ctx);
-
-// Runs `fn(item)` for every item on the shared pool and returns the results
-// in input order (completion order does not leak out, so bench output stays
-// deterministic). `fn` may itself call RunGrid/RunPaired: nested calls from
-// a worker thread execute inline rather than re-entering the pool.
-template <typename Item, typename F>
-auto ParallelMap(const std::vector<Item>& items, const BenchContext& ctx, F fn)
-    -> std::vector<std::invoke_result_t<F&, const Item&>> {
-  using R = std::invoke_result_t<F&, const Item&>;
-  exec::ThreadPool& pool = ctx.Pool();
-  std::vector<std::future<R>> futs;
-  futs.reserve(items.size());
-  for (const Item& item : items) {
-    futs.push_back(pool.Submit([&fn, &item] { return fn(item); }));
-  }
-  std::vector<R> out;
-  out.reserve(items.size());
-  for (auto& f : futs) out.push_back(f.get());
-  return out;
-}
 
 // Reads the common flags out of `cfg` after rejecting any key that is
 // neither a common flag nor a SimConfig knob; `default_vertices` and

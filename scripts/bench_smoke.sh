@@ -17,13 +17,43 @@ WORK="$(mktemp -d "${TMPDIR:-/tmp}/graphpim_bench_smoke.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 
 fail=0
-if "$BENCH" all --vertices=1024 --opcap=20000 --jobs=2 > "$WORK/all.out" \
-    2> "$WORK/all.err"; then
-  echo "   all: $(grep -c '^GraphPIM reproduction' "$WORK/all.out") benches ran"
-else
-  echo "bench_smoke: FAIL — 'all' exited non-zero, stderr:" >&2
-  cat "$WORK/all.err" >&2
+# Every bench runs to the end, and its output is the same at any --jobs
+# (only the "(host)" wall-time lines may differ).
+for jobs in 1 4; do
+  if "$BENCH" all --vertices=1024 --opcap=20000 --jobs=$jobs \
+      > "$WORK/all_j$jobs.out" 2> "$WORK/all_j$jobs.err"; then
+    echo "   all --jobs=$jobs: $(grep -c '^GraphPIM reproduction' \
+        "$WORK/all_j$jobs.out") benches ran"
+  else
+    echo "bench_smoke: FAIL — 'all --jobs=$jobs' exited non-zero, stderr:" >&2
+    cat "$WORK/all_j$jobs.err" >&2
+    fail=1
+  fi
+done
+if ! diff <(grep -v '(host)' "$WORK/all_j1.out") \
+    <(grep -v '(host)' "$WORK/all_j4.out") > "$WORK/all.diff"; then
+  echo "bench_smoke: FAIL — 'all' output differs between --jobs=1 and 4:" >&2
+  head -20 "$WORK/all.diff" >&2
   fail=1
+else
+  echo "   all: identical at --jobs=1 and --jobs=4"
+fi
+
+# --pmem-enable=1 must reach the bench's trace: gup generates its
+# flush/fence discipline, so its IPC row changes.
+gup_row() {  # fig01_ipc arguments...
+  "$BENCH" fig01_ipc --vertices=1024 --opcap=20000 --jobs=1 "$@" |
+      grep '^gup '
+}
+plain="$(gup_row)"
+persist="$(gup_row --pmem-enable=1)"
+if [[ -z "$plain" || "$plain" == "$persist" ]]; then
+  echo "bench_smoke: FAIL — fig01_ipc gup row ignores --pmem-enable=1:" >&2
+  echo "  off: $plain" >&2
+  echo "  on:  $persist" >&2
+  fail=1
+else
+  echo "   pmem_enable: gup row '$plain' -> '$persist'"
 fi
 
 reject() {  # name, error text, graphpim_bench arguments...

@@ -143,11 +143,15 @@ BIN="$SERVE" reject serve_qps_empty "--qps-grid needs at least one value" \
 BIN="$SERVE" reject serve_mix_trailing \
     "weight of kind 'bfs' in mix spec: '1x' is not a number" \
     "${SERVE_ARGS[@]}" --mix=bfs=1x
-for cubes in 1.5 0; do
-  BIN="$SERVE" reject "serve_cubes_$cubes" \
-      "--num-cubes entries must be positive integers, got $cubes" \
-      "${SERVE_ARGS[@]}" --num-cubes=$cubes
-done
+BIN="$SERVE" reject serve_cubes_1.5 \
+    "config key 'num-cubes': '1.5' is not an unsigned integer" \
+    "${SERVE_ARGS[@]}" --num-cubes=1.5
+BIN="$SERVE" reject serve_cubes_0 "config key 'num-cubes' needs counts >= 1" \
+    "${SERVE_ARGS[@]}" --num-cubes=0
+BIN="$SERVE" reject serve_duplicate_modes "duplicate config 'Baseline'" \
+    "${SERVE_ARGS[@]}" --modes=baseline,baseline
+BIN="$SERVE" reject serve_negative_dispatch "dispatch_ns must be >= 0" \
+    "${SERVE_ARGS[@]}" --dispatch-ns=-1e9
 for sink in metrics-out timeline-out; do
   BIN="$SERVE" reject_early "serve_$sink" \
       "config key '$sink': cannot open '$NODIR/out' for writing" \

@@ -237,6 +237,28 @@ double Speedup(const SimResults& base, const SimResults& other) {
   return static_cast<double>(base.cycles) / static_cast<double>(other.cycles);
 }
 
+void ShapeTraceFor(const std::vector<SimConfig>& configs,
+                   Experiment::Options* opts) {
+  GP_CHECK(!configs.empty(), "no configs to shape a trace for");
+  const SimConfig& first = configs.front();
+  for (const SimConfig& c : configs) {
+    if (c.pmem.enable != first.pmem.enable) {
+      GP_THROW("config key 'pmem.enable' must be uniform across configs "
+               "that replay one trace, which either carries persist ops or "
+               "does not");
+    }
+    // Per-config ann values could not take effect, and almost certainly
+    // mean a mis-specified grid (sweep ann knobs as grid axes instead).
+    if (c.ann != first.ann) {
+      GP_THROW("config keys 'ann.*' must be uniform across configs that "
+               "replay one trace, which is generated with one ann "
+               "parameter block");
+    }
+  }
+  if (first.pmem.enable) opts->persist = pmem::PersistMode::kFull;
+  opts->params.ann = first.ann;
+}
+
 Experiment::Experiment(const std::string& profile, VertexId num_vertices,
                        const std::string& workload_name, const Options& opts) {
   graph::EdgeList el = graph::GenerateProfile(profile, num_vertices, opts.seed);

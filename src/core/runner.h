@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/trace.h"
 #include "core/results.h"
@@ -135,6 +136,15 @@ class Experiment {
   std::unique_ptr<workloads::Workload> workload_;
   workloads::Trace trace_;
 };
+
+// The trace-shape rule, for the `configs` that will all replay one trace.
+// pmem.enable and the ann.* block decide how that trace is GENERATED, so
+// they must agree across `configs`: throws SimError when they do not.
+// Then sets opts->persist to kFull when the persist domain is on (the
+// workload generates its flush/fence discipline) and opts->params.ann to
+// the shared ann block; every other field of `opts` is left as it was.
+void ShapeTraceFor(const std::vector<SimConfig>& configs,
+                   Experiment::Options* opts);
 
 }  // namespace graphpim::core
 

@@ -1,14 +1,15 @@
-// Shared --progress heartbeat for grid drivers (graphpim_sweep,
-// graphpim_serve): one stderr line per retired job with an ETA
-// extrapolated from the mean wall time of the jobs finished so far.
+// Shared --progress heartbeat for the drivers (graphpim_sim per mode
+// replay, graphpim_sweep per job, graphpim_serve per point): one stderr
+// line per retired job with an ETA extrapolated from the mean wall time of
+// the jobs finished so far.
 //
 // The line format is the original graphpim_sweep heartbeat, byte for
 // byte. FormatProgressLine is the pure core (unit-testable ETA math);
 // StderrHeartbeat wraps it into a SweepRunner-compatible callback. The
-// runner invokes on_progress serially under its progress lock, so the
-// callback needs no synchronization of its own — but the returned functor
-// is also safe to share across harvest threads because its only state is
-// the fixed start time.
+// sweep runner and exec::ParallelMap's `done` hook call it serially under
+// one lock, so the callback needs no synchronization of its own — but the
+// returned functor is also safe to share across threads because its only
+// state is the fixed start time.
 #ifndef GRAPHPIM_EXEC_PROGRESS_H_
 #define GRAPHPIM_EXEC_PROGRESS_H_
 

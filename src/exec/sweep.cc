@@ -1,7 +1,8 @@
 #include "exec/sweep.h"
 
+#include <algorithm>
 #include <chrono>
-#include <condition_variable>
+#include <iterator>
 #include <future>
 #include <limits>
 #include <memory>
@@ -29,20 +30,18 @@ constexpr const char* kStructuralKeys[] = {"workloads", "profiles", "modes",
                                            "vertices",  "threads",  "opcap",
                                            "seed"};
 
-// num_cubes is special: it is the one machine knob that may carry a comma
-// list, expanding the config axis (modes x cube counts) for cube-scaling
-// sweeps. Both the flat and the hmc.-qualified spelling are accepted.
-constexpr const char* kCubeAxisKeys[] = {"num_cubes", "num-cubes",
-                                         "hmc.num_cubes"};
+std::vector<std::string> GridKeys() {
+  std::vector<std::string> keys(std::begin(kStructuralKeys),
+                                std::end(kStructuralKeys));
+  for (const std::string& k : core::SimConfig::ConfigKeys()) keys.push_back(k);
+  return keys;
+}
 
 std::string AcceptedGridKeys() {
   std::string list;
-  for (const char* k : kStructuralKeys) {
+  for (const std::string& k : GridKeys()) {
     if (!list.empty()) list += "|";
     list += k;
-  }
-  for (const std::string& k : core::SimConfig::ConfigKeys()) {
-    list += "|" + k;
   }
   return list;
 }
@@ -53,21 +52,21 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Checked integer parse with the grid key in the diagnostic: a user
-// error, so it throws SimError (recoverable) rather than abort.
-std::uint64_t ParseGridUint(const std::string& key, const std::string& val,
-                            std::uint64_t max = ~std::uint64_t{0}) {
-  return ParseUint("grid spec key '" + key + "'", val, max);
-}
-
 void RejectDuplicates(const std::vector<std::string>& names, const char* what) {
   for (std::size_t i = 0; i < names.size(); ++i) {
     for (std::size_t j = i + 1; j < names.size(); ++j) {
-      if (names[i] == names[j]) {
-        GP_THROW("duplicate ", what, " '", names[i], "' in grid spec");
-      }
+      if (names[i] == names[j]) GP_THROW("duplicate ", what, " '", names[i], "'");
     }
   }
+}
+
+// The non-empty, trimmed entries of a comma list.
+std::vector<std::string> SplitList(const std::string& list) {
+  std::vector<std::string> out;
+  for (const std::string& tok : Split(list, ',')) {
+    if (!Trim(tok).empty()) out.push_back(Trim(tok));
+  }
+  return out;
 }
 
 }  // namespace
@@ -89,13 +88,7 @@ core::Experiment::Options MakeExperimentOptions(const SweepGrid& grid,
   eo.num_threads = grid.sim_threads;
   eo.seed = seed;
   eo.op_cap = grid.op_cap;
-  // Uniform across the grid (prevalidated by Run).
-  eo.params.ann = grid.configs.front().ann;
-  // Uniform across the grid (prevalidated by Run): a persistent grid
-  // generates the full flush/fence discipline into the shared trace.
-  if (grid.configs.front().pmem.enable) {
-    eo.persist = pmem::PersistMode::kFull;
-  }
+  core::ShapeTraceFor(grid.configs, &eo);
   return eo;
 }
 
@@ -137,28 +130,11 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
     GP_CHECK(c.num_cores >= grid.sim_threads,
              "config simulates fewer cores than the trace has streams");
   }
-  // Every config of a cell replays the ONE shared trace, and pmem.enable
-  // decides whether that trace carries flush/fence discipline — so it must
-  // be uniform across the grid (the fingerprint covers pmem.* via
-  // Describe(), so --resume already refuses cross-persistence splices).
-  for (const core::SimConfig& c : grid.configs) {
-    if (c.pmem.enable != grid.configs.front().pmem.enable) {
-      GP_THROW("config key 'pmem.enable' must be uniform across a sweep "
-               "grid: all configs replay one shared trace, which either "
-               "carries persist ops or does not");
-    }
-  }
-  // Same reasoning for the ann.* block: the hnsw workload bakes the knob
-  // values into the ONE shared trace at generation time, so per-config
-  // ann values cannot take effect and almost certainly mean a mis-specified
-  // grid (sweep ann knobs as grid axes instead).
-  for (const core::SimConfig& c : grid.configs) {
-    if (c.ann != grid.configs.front().ann) {
-      GP_THROW("config keys 'ann.*' must be uniform across a sweep grid: "
-               "all configs replay one shared trace, which is generated "
-               "with one ann parameter block");
-    }
-  }
+  // Every config of a cell replays the ONE shared trace, so the knobs
+  // that shape it must be uniform across the grid; this throws otherwise
+  // (the fingerprint covers pmem.* via Describe(), so --resume already
+  // refuses cross-persistence splices).
+  MakeExperimentOptions(grid, grid.base_seed);
 
   const auto sweep_t0 = std::chrono::steady_clock::now();
   const std::size_t num_cells = grid.NumCells();
@@ -214,9 +190,17 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
                  "delete it or point --journal elsewhere to start fresh");
       }
       for (SweepRow& r : jd.rows) {
+        // A row is trusted only where its names and seed match the cell
+        // its indices point at: a damaged index that still parses must
+        // not move the row into another cell's slot.
         if (r.workload_idx >= grid.workloads.size() ||
             r.profile_idx >= grid.profiles.size() ||
-            r.config_idx >= num_configs) {
+            r.config_idx >= num_configs ||
+            r.workload != grid.workloads[r.workload_idx] ||
+            r.profile != grid.profiles[r.profile_idx] ||
+            r.config_name != grid.config_names[r.config_idx] ||
+            r.seed != DeriveCellSeed(grid.base_seed, r.workload_idx,
+                                     r.profile_idx)) {
           continue;
         }
         const std::size_t idx =
@@ -232,16 +216,6 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
 
   JournalWriter writer;
   if (!opts_.journal_path.empty()) writer.Open(opts_.journal_path, fingerprint);
-
-  // Cell tasks build the shared Experiment, then fan the per-config replay
-  // jobs out from the worker thread itself, so replays start the moment
-  // their trace exists. The main thread harvests futures in grid order.
-  std::mutex mu;
-  std::condition_variable cell_cv;
-  std::vector<std::future<JobOut>> job_futs(total);
-  std::vector<char> cell_ready(num_cells, 0);
-  std::vector<double> cell_build_ms(num_cells, 0.0);
-  std::vector<std::string> cell_error(num_cells);
 
   std::mutex progress_mu;
   std::size_t completed = 0;
@@ -261,9 +235,20 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
     opts_.on_progress(p);
   };
 
+  // A cell task builds the shared Experiment, then submits the cell's
+  // replays from the worker itself, so they start the moment their trace
+  // exists, and hands their futures back through its own. The main thread
+  // harvests cells, and each cell's replays, in grid order.
+  struct CellOut {
+    std::string error;  // non-empty when the Experiment could not be built
+    double build_ms = 0.0;
+    std::vector<std::future<JobOut>> replays;  // by config; invalid if restored
+  };
+
   // Declared after everything its tasks touch, so that on an early exit
   // its destructor drains them while that state still exists.
   ThreadPool pool(opts_.jobs);
+  std::vector<std::future<CellOut>> cells(num_cells);
   for (std::size_t ci = 0; ci < num_cells; ++ci) {
     const std::size_t wi = ci / grid.profiles.size();
     const std::size_t pi = ci % grid.profiles.size();
@@ -274,12 +259,10 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
     for (std::size_t k = 0; k < num_configs; ++k) {
       if (restored[ci * num_configs + k] == nullptr) needed.push_back(k);
     }
-    if (needed.empty()) {
-      cell_ready[ci] = 1;  // pre-pool, no lock needed
-      continue;
-    }
+    if (needed.empty()) continue;
 
-    pool.Submit([&, ci, wi, pi, needed] {
+    cells[ci] = pool.Submit([&, wi, pi, needed] {
+      CellOut cell;
       const auto build_t0 = std::chrono::steady_clock::now();
       const std::uint64_t cell_seed = DeriveCellSeed(grid.base_seed, wi, pi);
       std::shared_ptr<core::Experiment> exp;
@@ -291,21 +274,14 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
         // The cell is unbuildable (bad workload/profile name, degenerate
         // graph, ...): every job of the cell fails with this message, and
         // the rest of the grid proceeds.
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          cell_error[ci] = e.what();
-          cell_build_ms[ci] = MsSince(build_t0);
-          cell_ready[ci] = 1;
-        }
-        cell_cv.notify_all();
-        return;
+        cell.error = e.what();
       }
-      const double build_ms = MsSince(build_t0);
+      cell.build_ms = MsSince(build_t0);
+      if (exp == nullptr) return cell;
 
-      std::vector<std::future<JobOut>> futs;
-      futs.reserve(needed.size());
+      cell.replays.resize(num_configs);
       for (std::size_t k : needed) {
-        futs.push_back(pool.Submit([&, exp, cell_seed, wi, pi, k] {
+        cell.replays[k] = pool.Submit([&, exp, cell_seed, wi, pi, k] {
           const auto run_t0 = std::chrono::steady_clock::now();
           JobOut out;
           // A failed replay becomes a status=kFailed row, not a throw.
@@ -319,28 +295,18 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
                           out.results.has_value() ? JobStatus::kOk
                                                   : JobStatus::kFailed);
           return out;
-        }));
+        });
       }
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        for (std::size_t i = 0; i < needed.size(); ++i) {
-          job_futs[ci * num_configs + needed[i]] = std::move(futs[i]);
-        }
-        cell_build_ms[ci] = build_ms;
-        cell_ready[ci] = 1;
-      }
-      cell_cv.notify_all();
+      return cell;
     });
   }
 
   SweepResultTable table;
   table.rows.reserve(total);
   for (std::size_t ci = 0; ci < num_cells; ++ci) {
-    {
-      std::unique_lock<std::mutex> lk(mu);
-      cell_cv.wait(lk, [&] { return cell_ready[ci] != 0; });
-    }
-    table.build_wall_ms += cell_build_ms[ci];
+    CellOut cell;
+    if (cells[ci].valid()) cell = cells[ci].get();
+    table.build_wall_ms += cell.build_ms;
     const std::size_t wi = ci / grid.profiles.size();
     const std::size_t pi = ci % grid.profiles.size();
     const std::uint64_t cell_seed = DeriveCellSeed(grid.base_seed, wi, pi);
@@ -364,16 +330,16 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
       row.config_name = grid.config_names[k];
       row.seed = cell_seed;
 
-      if (!cell_error[ci].empty()) {
+      if (!cell.error.empty()) {
         row.status = JobStatus::kFailed;
-        row.error = cell_error[ci];
+        row.error = cell.error;
         ++table.failed_rows;
         report_progress(wi, pi, k, 0.0, JobStatus::kFailed);
         table.rows.push_back(std::move(row));
         continue;
       }
 
-      JobOut out = job_futs[idx].get();
+      JobOut out = cell.replays[k].get();
       row.wall_ms = out.wall_ms;
       if (out.results.has_value()) {
         row.results = std::move(*out.results);
@@ -424,25 +390,80 @@ std::vector<core::Mode> ParseModeList(const std::string& arg) {
   return modes;
 }
 
-SweepGrid ParseGridSpec(const std::string& spec) {
+NamedConfigs ExpandConfigs(const graphpim::Config& machine,
+                           const std::vector<core::Mode>& modes) {
+  // Same spelling preference as the field table: canonical key first.
+  const char* cube_key = machine.Has("num_cubes")   ? "num_cubes"
+                         : machine.Has("num-cubes") ? "num-cubes"
+                                                    : nullptr;
+  // The cube counts as FromConfig reads them; "" leaves the table default.
+  std::vector<std::string> counts = {""};
+  if (cube_key != nullptr) {
+    const std::string what = std::string("config key '") + cube_key + "'";
+    counts.clear();
+    for (const std::string& tok : SplitList(machine.GetString(cube_key, ""))) {
+      const std::uint64_t n = ParseUint(what, tok);
+      if (n < 1) GP_THROW(what, " needs counts >= 1");
+      counts.push_back(std::to_string(n));
+    }
+    if (counts.empty()) GP_THROW(what, " needs at least one count");
+  }
+
+  NamedConfigs out;
+  std::vector<std::string> names;
+  for (core::Mode m : modes) {
+    for (const std::string& count : counts) {
+      graphpim::Config mc = machine;
+      std::string name = core::ToString(m);
+      if (!count.empty()) {
+        // FromConfig reads one number per knob: replace the list in both
+        // spellings.
+        mc.Set("num_cubes", count);
+        mc.Set("num-cubes", count);
+        if (counts.size() > 1) name += "-c" + count;
+      }
+      names.push_back(name);
+      out.emplace_back(name, core::SimConfig::FromConfig(mc, m));
+    }
+  }
+  RejectDuplicates(names, "config");
+  return out;
+}
+
+SweepGrid MakeSweepGrid(const graphpim::Config& cfg) {
   SweepGrid grid;
-  grid.profiles.clear();
-  std::vector<core::Mode> modes;
-  std::vector<std::uint64_t> cube_counts;  // config axis; empty = table default
-  graphpim::Config machine;  // scalar machine knobs, handed to FromConfig
+  grid.workloads = SplitList(cfg.GetString("workloads", ""));
+  if (grid.workloads.empty()) {
+    GP_THROW("a sweep grid needs workloads=... (accepted keys: ",
+             AcceptedGridKeys(), ")");
+  }
+  grid.profiles = SplitList(cfg.GetString("profiles", "ldbc"));
+  if (grid.profiles.empty()) grid.profiles.push_back("ldbc");
+  RejectDuplicates(grid.workloads, "workload");
+  RejectDuplicates(grid.profiles, "profile");
+  grid.vertices = static_cast<VertexId>(cfg.GetUint(
+      "vertices", grid.vertices, std::numeric_limits<VertexId>::max()));
+  if (grid.vertices == 0) GP_THROW("config key 'vertices' must be > 0");
+  grid.sim_threads = static_cast<int>(cfg.GetInt(
+      "threads", grid.sim_threads, 1, std::numeric_limits<int>::max()));
+  grid.op_cap = cfg.GetUint("opcap", grid.op_cap);
+  grid.base_seed = cfg.GetUint("seed", grid.base_seed);
 
-  const std::vector<std::string> machine_keys = core::SimConfig::ConfigKeys();
-  auto is_machine_key = [&](const std::string& k) {
-    for (const std::string& mk : machine_keys)
-      if (k == mk) return true;
-    return false;
-  };
-  auto is_cube_axis_key = [](const std::string& k) {
-    for (const char* ck : kCubeAxisKeys)
-      if (k == ck) return true;
-    return false;
-  };
+  // Per-job fault seeds are derived from the cell seed at run time
+  // (SweepRunner), so the built configs' seeds stay zero.
+  graphpim::Config machine = cfg;
+  machine.Set("threads", std::to_string(grid.sim_threads));
+  for (auto& [name, sc] : ExpandConfigs(
+           machine, ParseModeList(cfg.GetString("modes", "all")))) {
+    grid.config_names.push_back(std::move(name));
+    grid.configs.push_back(std::move(sc));
+  }
+  return grid;
+}
 
+SweepGrid ParseGridSpec(const std::string& spec) {
+  const std::vector<std::string> accepted = GridKeys();
+  graphpim::Config cfg;
   for (const std::string& field : Split(spec, ';')) {
     const std::string f = Trim(field);
     if (f.empty()) continue;
@@ -452,85 +473,14 @@ SweepGrid ParseGridSpec(const std::string& spec) {
                AcceptedGridKeys(), ")");
     }
     const std::string key = Trim(f.substr(0, eq));
-    const std::string val = Trim(f.substr(eq + 1));
-    if (key == "workloads") {
-      for (const std::string& w : Split(val, ','))
-        if (!Trim(w).empty()) grid.workloads.push_back(Trim(w));
-    } else if (key == "profiles") {
-      for (const std::string& p : Split(val, ','))
-        if (!Trim(p).empty()) grid.profiles.push_back(Trim(p));
-    } else if (key == "modes") {
-      modes = ParseModeList(val);
-    } else if (key == "vertices") {
-      grid.vertices = static_cast<VertexId>(
-          ParseGridUint(key, val, std::numeric_limits<VertexId>::max()));
-      if (grid.vertices == 0) GP_THROW("grid spec key 'vertices' must be > 0");
-    } else if (key == "threads") {
-      grid.sim_threads = static_cast<int>(
-          ParseGridUint(key, val, std::numeric_limits<int>::max()));
-      if (grid.sim_threads < 1) GP_THROW("grid spec key 'threads' must be >= 1");
-    } else if (key == "opcap") {
-      grid.op_cap = ParseGridUint(key, val);
-    } else if (key == "seed") {
-      grid.base_seed = ParseGridUint(key, val);
-    } else if (is_cube_axis_key(key)) {
-      // Comma list expands the config axis: modes x cube counts.
-      for (const std::string& tok : Split(val, ',')) {
-        const std::string c = Trim(tok);
-        if (c.empty()) continue;
-        const std::uint64_t nc = ParseGridUint("num_cubes", c);
-        // 0 doubles as the leave-default sentinel below, so reject it here
-        // rather than silently running the table default.
-        if (nc < 1) GP_THROW("grid spec key 'num_cubes' needs counts >= 1");
-        cube_counts.push_back(nc);
-      }
-      if (cube_counts.empty()) {
-        GP_THROW("grid spec key 'num_cubes' needs at least one count");
-      }
-    } else if (key == "full" || key == "topology") {
-      machine.Set(key, val);  // non-numeric knobs; FromConfig validates
-    } else if (is_machine_key(key)) {
-      // Numeric machine knob: check it parses here, so the error names
-      // the grid spec key, then let FromConfig / Validate own the range
-      // check so the grid spec and the tool CLIs reject identically.
-      ParseDouble("grid spec key '" + key + "'", val);
-      machine.Set(key, val);
-    } else {
+    if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
       GP_THROW("unknown grid spec key '", key, "' (accepted keys: ",
                AcceptedGridKeys(), ")");
     }
+    if (cfg.Has(key)) GP_THROW("grid spec key '", key, "' appears twice");
+    cfg.Set(key, Trim(f.substr(eq + 1)));
   }
-
-  if (grid.workloads.empty()) {
-    GP_THROW("grid spec needs workloads=... (accepted keys: ",
-             AcceptedGridKeys(), ")");
-  }
-  RejectDuplicates(grid.workloads, "workload");
-  RejectDuplicates(grid.profiles, "profile");
-  if (grid.profiles.empty()) grid.profiles.push_back("ldbc");
-  if (modes.empty()) modes = ParseModeList("all");
-  machine.Set("threads", std::to_string(grid.sim_threads));
-
-  // The config axis is modes x cube counts; names stay the bare mode
-  // string unless the sweep actually scales cubes (then "GraphPIM-c4").
-  const bool cube_axis = cube_counts.size() > 1;
-  if (cube_counts.empty()) cube_counts.push_back(0);  // 0 = leave default
-  for (core::Mode m : modes) {
-    for (std::uint64_t nc : cube_counts) {
-      graphpim::Config mc = machine;
-      if (nc != 0) mc.Set("num_cubes", std::to_string(nc));
-      // Per-job fault seeds are derived from the cell seed at run time
-      // (SweepRunner), so the parsed config's seed stays zero.
-      grid.configs.push_back(core::SimConfig::FromConfig(mc, m));
-      std::string name = ToString(m);
-      if (cube_axis) {
-        name += StrFormat("-c%llu", static_cast<unsigned long long>(nc));
-      }
-      grid.config_names.push_back(name);
-    }
-  }
-  RejectDuplicates(grid.config_names, "mode");
-  return grid;
+  return MakeSweepGrid(cfg);
 }
 
 }  // namespace graphpim::exec

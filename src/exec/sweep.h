@@ -10,9 +10,10 @@
 //   SimResults rows for --jobs=1 and --jobs=N. Only wall-time metadata
 //   (wall_ms, histogram, totals) may differ between runs.
 //
-// Execution overlaps trace generation and replay: each cell's config jobs
-// are submitted the moment that cell's Experiment is built, so a slow cell
-// does not serialize the rest of the grid.
+// Execution overlaps trace generation and replay: a cell's task builds its
+// Experiment, submits the cell's config jobs at once and hands their
+// futures back through its own, so a slow cell does not serialize the rest
+// of the grid.
 //
 // Fault tolerance (DESIGN.md §9): a job that throws (bad workload name,
 // simulation invariant escalated as SimError, ...) yields a SweepRow with
@@ -28,8 +29,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/config.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "core/runner.h"
@@ -61,7 +64,8 @@ std::uint64_t DeriveCellSeed(std::uint64_t base_seed, std::size_t workload_idx,
                              std::size_t profile_idx);
 
 // The Experiment options every cell of `grid` builds its trace with, at
-// `seed`.
+// `seed`, shaped by core::ShapeTraceFor (which throws unless the grid's
+// configs agree on pmem.enable and ann.*).
 core::Experiment::Options MakeExperimentOptions(const SweepGrid& grid,
                                                 std::uint64_t seed);
 
@@ -166,22 +170,39 @@ class SweepRunner {
   Options opts_;
 };
 
+// Named machine configs, in the order they are replayed.
+using NamedConfigs = std::vector<std::pair<std::string, core::SimConfig>>;
+
+// THE machine-config expansion every grid driver uses (graphpim_sweep, the
+// grid spec and graphpim_serve): one SimConfig::FromConfig(machine, mode)
+// per mode x entry of the num_cubes (or num-cubes) comma list, mode-major.
+// Counts are unsigned integers >= 1; without the key each mode gets the
+// table default. Names are the mode string, suffixed "-c<N>" only when
+// there is more than one count ("GraphPIM-c4"). Throws SimError on a bad
+// count, a bad knob, or a duplicate name (a mode listed twice).
+NamedConfigs ExpandConfigs(const graphpim::Config& machine,
+                           const std::vector<core::Mode>& modes);
+
+// Builds a grid from flat keys: the structural keys workloads (required),
+// profiles (ldbc), modes (all), vertices, threads, opcap and seed, with
+// the configs from ExpandConfigs over every machine knob in `cfg`. Other
+// keys are ignored; the caller rejects unknown ones. Throws SimError on a
+// bad value, an empty workload list or a duplicate workload or profile.
+SweepGrid MakeSweepGrid(const graphpim::Config& cfg);
+
 // Parses a compact grid spec of the form
 //   "workloads=bfs,prank;modes=baseline,graphpim;profiles=ldbc;
 //    vertices=16384;threads=16;opcap=2000000;seed=1;full=0;
 //    link_ber=1e-12;vault_stall_ppm=50;poison_ppm=5;max_retries=3;
 //    retry_ns=8;num_cubes=1,2,4,8;topology=chain"
-// Keys may appear in any order; all are optional except workloads.
+// into a Config and hands it to MakeSweepGrid. Keys may appear in any
+// order, once each; all are optional except workloads. The accepted keys
+// are the structural ones plus every SimConfig field-table knob, so fault
+// knobs (and full=1 Table IV sizing, topology, ...) apply grid-wide.
 // modes accepts baseline|upei|graphpim|ucnopim or "all" (the three
-// paper-evaluated machines). Structural keys shape the job matrix; every
-// other accepted key is a machine knob owned by SimConfig's field table
-// and applied to each config via SimConfig::FromConfig, so fault knobs
-// (and full=1 Table IV sizing, topology, ...) apply grid-wide.
-// num_cubes is the one knob that accepts a comma list (hmc.num_cubes is
-// an accepted alias): multiple counts expand the config axis to
-// modes x cube counts, with names suffixed "-c<N>" ("GraphPIM-c4").
-// User errors (unknown keys, duplicates, malformed or out-of-range
-// values) throw SimError listing the accepted keys.
+// paper-evaluated machines). User errors (unknown or repeated keys,
+// duplicates, malformed or out-of-range values) throw SimError; an
+// unknown key's message lists the accepted keys.
 SweepGrid ParseGridSpec(const std::string& spec);
 
 // "baseline,graphpim" / "all" -> mode list (shared by the CLI drivers).

@@ -8,10 +8,15 @@
 //     (a sweep cell's Experiment).
 //   - A task submitted from one of the pool's workers goes to the front of
 //     the queue: a sweep cell's replays run before the next cell's build.
+// ParallelMap below is the one ordered fan-out every driver replays its
+// configs through; only SweepRunner, whose cells chain a build into their
+// replays, calls Submit() itself.
 #ifndef GRAPHPIM_EXEC_THREAD_POOL_H_
 #define GRAPHPIM_EXEC_THREAD_POOL_H_
 
+#include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -85,6 +90,49 @@ class ThreadPool {
   bool stopping_ = false;                    // guarded by mu_
   std::vector<std::thread> workers_;         // last: the threads use the above
 };
+
+// Runs fn(i) for every i in [0, n) on `pool` and returns the results in
+// index order, so completion order never leaks into the output. Called on
+// one of the pool's own workers it runs the calls inline instead, since
+// waiting on the pool from inside it could starve it; the results are the
+// same either way. `done(i, wall_ms, result)`, when set, is called under
+// one lock as each call returns, in completion order (the --progress
+// heartbeat); `wall_ms` times fn(i) alone. A throw from fn(i) reaches the
+// caller once no call is left running (the first in index order wins).
+template <typename F, typename R = std::invoke_result_t<F&, std::size_t>>
+std::vector<R> ParallelMap(
+    ThreadPool& pool, std::size_t n, F fn,
+    const std::type_identity_t<
+        std::function<void(std::size_t, double, const R&)>>& done = {}) {
+  std::mutex done_mu;
+  auto run = [&](std::size_t i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    R r = fn(i);
+    if (done) {
+      const double wall_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+      std::lock_guard<std::mutex> lk(done_mu);
+      done(i, wall_ms, r);
+    }
+    return r;
+  };
+  std::vector<R> out;
+  out.reserve(n);
+  if (pool.OnWorkerThread()) {
+    for (std::size_t i = 0; i < n; ++i) out.push_back(run(i));
+    return out;
+  }
+  std::vector<std::future<R>> futs;
+  futs.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    futs.push_back(pool.Submit([&run, i] { return run(i); }));
+  }
+  // Every task holds `run` by reference: none may outlive this frame.
+  for (std::future<R>& f : futs) f.wait();
+  for (std::future<R>& f : futs) out.push_back(f.get());
+  return out;
+}
 
 }  // namespace graphpim::exec
 

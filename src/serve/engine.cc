@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <future>
 #include <memory>
-#include <mutex>
 
 #include "common/log.h"
 #include "common/random.h"
@@ -23,12 +21,27 @@ namespace {
 // batch composition — not scheduling — decides the stream.
 constexpr std::uint64_t kBatchSalt = 0x5365727665426174ULL;  // "ServeBat"
 
-// A kind can be in the mix only if the resident graph can serve it: knn
-// needs the shared ANN index, which is a graph-build-time decision. Caught
-// here (orchestrating thread) rather than deep inside an emitter on a
-// pool worker.
-void CheckMixServable(const ServedGraph& sg, const TrafficSpec& ts) {
-  for (const MixEntry& me : ts.mix) {
+// The one parameter check of a serve point. Flag-reachable parameters
+// throw SimError (caught at the tool's main), never GP_CHECK-panic; the
+// grid runs it per config on the orchestrating thread, before any point
+// is submitted, rather than deep inside a pool worker.
+void CheckServeParams(const ServedGraph& sg, const ServeParams& params) {
+  if (params.slots < 1) GP_THROW("serve needs at least one dispatch slot");
+  if (params.batch_max < 1) GP_THROW("serve needs batch_max >= 1");
+  if (params.batch_max > static_cast<std::size_t>(params.cfg.num_cores)) {
+    GP_THROW("batch_max ", params.batch_max, " exceeds the config's ",
+             params.cfg.num_cores, " cores: a batch maps one query per core");
+  }
+  if (params.queue_depth < 1) GP_THROW("serve needs queue_depth >= 1");
+  if (params.slo_ns < 0.0) {
+    GP_THROW("serve slo_ns must be >= 0 (got ", params.slo_ns, ")");
+  }
+  if (!(params.dispatch_ns >= 0.0)) {
+    GP_THROW("serve dispatch_ns must be >= 0 (got ", params.dispatch_ns, ")");
+  }
+  // A kind can be in the mix only if the resident graph can serve it: knn
+  // needs the shared ANN index, which is a graph-build-time decision.
+  for (const MixEntry& me : params.traffic.mix) {
     if (me.second > 0.0 && me.first == "knn" && !sg.has_ann()) {
       GP_THROW("traffic mix includes knn but the served graph has no ANN "
                "index: build the ServedGraph with enable_ann");
@@ -49,19 +62,7 @@ DropPolicy ParseDropPolicy(const std::string& s) {
 }
 
 ServePoint RunServePoint(const ServedGraph& sg, const ServeParams& params) {
-  // Flag-reachable parameters throw SimError (caught at the tool's main),
-  // never GP_CHECK-panic.
-  if (params.slots < 1) GP_THROW("serve needs at least one dispatch slot");
-  if (params.batch_max < 1) GP_THROW("serve needs batch_max >= 1");
-  if (params.batch_max > static_cast<std::size_t>(params.cfg.num_cores)) {
-    GP_THROW("batch_max ", params.batch_max, " exceeds the config's ",
-             params.cfg.num_cores, " cores: a batch maps one query per core");
-  }
-  if (params.queue_depth < 1) GP_THROW("serve needs queue_depth >= 1");
-  if (params.slo_ns < 0.0) {
-    GP_THROW("serve slo_ns must be >= 0 (got ", params.slo_ns, ")");
-  }
-  CheckMixServable(sg, params.traffic);
+  CheckServeParams(sg, params);
 
   TrafficSpec ts = params.traffic;
   ts.num_vertices = sg.graph().num_vertices();
@@ -288,25 +289,22 @@ ServePoint RunServePoint(const ServedGraph& sg, const ServeParams& params) {
 
 ServeGridResult RunServeGrid(
     const ServedGraph& sg, const ServeParams& base,
-    const std::vector<std::pair<std::string, core::SimConfig>>& configs,
-    const std::vector<double>& qps_grid, int jobs,
+    const exec::NamedConfigs& configs, const std::vector<double>& qps_grid,
+    int jobs,
     const std::function<void(const exec::SweepProgress&)>& on_progress) {
   if (configs.empty()) GP_THROW("serve grid needs at least one config");
   if (qps_grid.empty()) GP_THROW("serve grid needs at least one qps");
   // Fail fast on the orchestrating thread, before any point is submitted.
-  if (base.slots < 1) GP_THROW("serve needs at least one dispatch slot");
-  if (base.batch_max < 1) GP_THROW("serve needs batch_max >= 1");
-  if (base.queue_depth < 1) GP_THROW("serve needs queue_depth >= 1");
-  if (base.slo_ns < 0.0) {
-    GP_THROW("serve slo_ns must be >= 0 (got ", base.slo_ns, ")");
-  }
-  CheckMixServable(sg, base.traffic);
+  std::vector<ServeParams> points;
   for (const auto& [name, cfg] : configs) {
-    if (base.batch_max > static_cast<std::size_t>(cfg.num_cores)) {
-      GP_THROW("batch_max ", base.batch_max, " exceeds the ", cfg.num_cores,
-               " cores of config ", name);
+    for (double qps : qps_grid) {
+      ServeParams p = base;
+      p.cfg = cfg;
+      p.traffic.qps = qps;
+      points.push_back(std::move(p));
     }
   }
+  for (const ServeParams& p : points) CheckServeParams(sg, p);
   {
     TrafficSpec probe = base.traffic;
     probe.num_vertices = sg.graph().num_vertices();
@@ -315,49 +313,30 @@ ServeGridResult RunServeGrid(
   }
   const auto t0 = std::chrono::steady_clock::now();
 
-  ServeGridResult out;
-  const std::size_t total = configs.size() * qps_grid.size();
-  std::mutex progress_mu;
+  // Points come back in grid order (config-major, then qps) — the
+  // determinism contract; progress lines arrive in completion order.
   std::size_t completed = 0;
-  // Declared after everything its tasks touch, so that on an early exit
-  // its destructor drains them while that state still exists.
   exec::ThreadPool pool(jobs);
-
-  std::vector<std::future<ServePoint>> futures;
-  futures.reserve(total);
-  for (const auto& [name, cfg] : configs) {
-    for (double qps : qps_grid) {
-      ServeParams p = base;
-      p.cfg = cfg;
-      p.traffic.qps = qps;
-      futures.push_back(pool.Submit(
-          [&sg, p = std::move(p), name = name, qps, total, &progress_mu,
-           &completed, &on_progress, t0]() {
-            const auto s0 = std::chrono::steady_clock::now();
-            ServePoint pt = RunServePoint(sg, p);
-            pt.config_name = name;
-            if (on_progress) {
-              const double wall_ms =
-                  std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - s0)
-                      .count();
-              std::lock_guard<std::mutex> lk(progress_mu);
-              exec::SweepProgress prog;
-              prog.completed = ++completed;
-              prog.total = total;
-              prog.workload = "serve";
-              prog.profile = name;
-              prog.config_name = StrFormat("qps=%g", qps);
-              prog.wall_ms = wall_ms;
-              prog.note = TimelineNote(pt.timeline);
-              on_progress(prog);
-            }
-            return pt;
-          }));
-    }
-  }
-  // Harvest in submission (grid) order — the determinism contract.
-  for (auto& f : futures) out.points.push_back(f.get());
+  ServeGridResult out;
+  out.points = exec::ParallelMap(
+      pool, points.size(),
+      [&](std::size_t i) {
+        ServePoint pt = RunServePoint(sg, points[i]);
+        pt.config_name = configs[i / qps_grid.size()].first;
+        return pt;
+      },
+      [&](std::size_t i, double wall_ms, const ServePoint& pt) {
+        if (!on_progress) return;
+        exec::SweepProgress prog;
+        prog.completed = ++completed;
+        prog.total = points.size();
+        prog.workload = "serve";
+        prog.profile = pt.config_name;
+        prog.config_name = StrFormat("qps=%g", points[i].traffic.qps);
+        prog.wall_ms = wall_ms;
+        prog.note = TimelineNote(pt.timeline);
+        on_progress(prog);
+      });
   out.total_wall_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();

@@ -11,9 +11,9 @@
 // DETERMINISM CONTRACT (same shape as src/exec/sweep.h): RunServePoint is
 // a pure function of (graph, params) — the schedule is value-derived, the
 // queueing simulation advances virtual time only, and every replay is the
-// deterministic core simulator. RunServeGrid parallelizes over *points*
-// on the shared ThreadPool and harvests futures in grid order, so the
-// result table is bit-identical for --jobs=1 and --jobs=N. Only wall-time
+// deterministic core simulator. RunServeGrid fans the *points* out through
+// exec::ParallelMap, which returns them in grid order, so the result table
+// is bit-identical for --jobs=1 and --jobs=N. Only wall-time
 // metadata may differ between runs.
 #ifndef GRAPHPIM_SERVE_ENGINE_H_
 #define GRAPHPIM_SERVE_ENGINE_H_
@@ -110,10 +110,11 @@ struct ServePoint {
 
 // Runs one point to completion. Pure function; safe to call concurrently
 // on a shared ServedGraph. Throws SimError on inconsistent params
-// (batch_max > cfg.num_cores, zero slots/batch, empty schedule).
+// (batch_max > cfg.num_cores, zero slots/batch, negative slo_ns or
+// dispatch_ns, empty schedule); RunServeGrid runs the same check.
 ServePoint RunServePoint(const ServedGraph& sg, const ServeParams& params);
 
-// A (config x qps) grid, run in parallel over a ThreadPool and harvested
+// A (config x qps) grid, run in parallel over a ThreadPool and returned
 // in grid order (config-major, then qps — the determinism contract).
 struct ServeGridResult {
   std::vector<ServePoint> points;  // configs.size() * qps_grid.size() rows
@@ -126,8 +127,8 @@ struct ServeGridResult {
 // exec::StderrHeartbeat for the standard --progress output.
 ServeGridResult RunServeGrid(
     const ServedGraph& sg, const ServeParams& base,
-    const std::vector<std::pair<std::string, core::SimConfig>>& configs,
-    const std::vector<double>& qps_grid, int jobs,
+    const exec::NamedConfigs& configs, const std::vector<double>& qps_grid,
+    int jobs,
     const std::function<void(const exec::SweepProgress&)>& on_progress = {});
 
 }  // namespace graphpim::serve

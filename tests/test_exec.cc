@@ -142,6 +142,78 @@ TEST(ThreadPool, OnWorkerThreadDistinguishesInsideFromOutside) {
   EXPECT_TRUE(f.get());
 }
 
+// Results come back in index order whatever order the calls finish in,
+// and `done` sees every index exactly once.
+TEST(ThreadPool, ParallelMapReturnsResultsInIndexOrder) {
+  ThreadPool pool(4);
+  std::vector<int> seen;  // guarded by ParallelMap's done lock
+  const std::vector<int> out = ParallelMap(
+      pool, 64,
+      [](std::size_t i) {
+        // Early indices finish last.
+        std::this_thread::sleep_for(std::chrono::microseconds(64 - i));
+        return static_cast<int>(i * i);
+      },
+      [&](std::size_t i, double wall_ms, const int& r) {
+        EXPECT_GE(wall_ms, 0.0);
+        EXPECT_EQ(r, static_cast<int>(i * i));
+        seen.push_back(static_cast<int>(i));
+      });
+  ASSERT_EQ(out.size(), 64u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], static_cast<int>(i * i));
+  }
+  std::sort(seen.begin(), seen.end());
+  ASSERT_EQ(seen.size(), 64u);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], i);
+  EXPECT_TRUE(ParallelMap(pool, 0, [](std::size_t) { return 1; }).empty());
+}
+
+// A nested map on a worker runs inline on that worker: with one worker,
+// waiting on the pool instead would deadlock.
+TEST(ThreadPool, ParallelMapNestedOnAWorkerRunsInline) {
+  ThreadPool pool(1);
+  const std::vector<std::vector<std::thread::id>> out =
+      ParallelMap(pool, 3, [&](std::size_t) {
+        const std::thread::id outer = std::this_thread::get_id();
+        std::vector<std::thread::id> ids = ParallelMap(
+            pool, 4, [](std::size_t) { return std::this_thread::get_id(); });
+        ids.push_back(outer);
+        return ids;
+      });
+  ASSERT_EQ(out.size(), 3u);
+  for (const auto& ids : out) {
+    ASSERT_EQ(ids.size(), 5u);
+    for (const std::thread::id& id : ids) EXPECT_EQ(id, ids.back());
+    EXPECT_NE(ids.back(), std::this_thread::get_id());
+  }
+}
+
+// A throwing call reaches the caller only after every call has finished,
+// and `done` fires for each call that returned.
+TEST(ThreadPool, ParallelMapPropagatesExceptionsAndCountsDone) {
+  ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  std::size_t done_calls = 0;
+  EXPECT_THROW(ParallelMap(
+                   pool, 16,
+                   [&](std::size_t i) {
+                     std::this_thread::sleep_for(std::chrono::microseconds(50));
+                     ran.fetch_add(1);
+                     if (i == 5) GP_THROW("replay failed");
+                     return i;
+                   },
+                   [&](std::size_t, double, const std::size_t&) {
+                     ++done_calls;
+                   }),
+               SimError);
+  EXPECT_EQ(ran.load(), 16);
+  EXPECT_EQ(done_calls, 15u);
+  // The pool runs on after the throw.
+  EXPECT_EQ(ParallelMap(pool, 2, [](std::size_t i) { return i + 1; }),
+            (std::vector<std::size_t>{1, 2}));
+}
+
 TEST(SweepSeed, DeterministicAndDecorrelated) {
   const std::uint64_t a = DeriveCellSeed(1, 0, 0);
   EXPECT_EQ(a, DeriveCellSeed(1, 0, 0));  // pure function of its inputs
@@ -212,6 +284,9 @@ TEST(SweepGridSpec, RejectsMalformedAndOutOfRangeFields) {
                SimError);
   EXPECT_THROW({ ParseGridSpec("workloads=bfs;poison_ppm=1000001"); }, SimError);
   EXPECT_THROW({ ParseGridSpec("workloads=bfs;retry_ns=-1"); }, SimError);
+  // A key given twice is ambiguous.
+  EXPECT_THROW({ ParseGridSpec("workloads=bfs;modes=all;modes=baseline"); },
+               SimError);
   // Unknown mode names come through ParseModeList.
   EXPECT_THROW({ ParseGridSpec("workloads=bfs;modes=warp9"); }, SimError);
   EXPECT_THROW({ ParseModeList(""); }, SimError);
@@ -250,6 +325,55 @@ TEST(SweepGridSpec, FaultKeysApplyToEveryConfig) {
   // Zero knobs leave the fault plan disabled (ideal-cube path).
   SweepGrid ideal = ParseGridSpec("workloads=bfs");
   EXPECT_FALSE(ideal.configs[0].hmc.fault.Enabled());
+}
+
+TEST(ExpandConfigs, NamesFollowModesAndCubeCounts) {
+  const std::vector<core::Mode> modes = {core::Mode::kBaseline,
+                                         core::Mode::kGraphPim};
+  Config machine;
+  NamedConfigs one = ExpandConfigs(machine, modes);
+  ASSERT_EQ(one.size(), 2u);
+  EXPECT_EQ(one[0].first, "Baseline");
+  EXPECT_EQ(one[1].first, "GraphPIM");
+  EXPECT_EQ(one[1].second.mode, core::Mode::kGraphPim);
+  EXPECT_EQ(one[1].second.hmc.num_cubes, 1u);  // the table default
+
+  // One count keeps the bare mode name; either spelling works.
+  machine.Set("num-cubes", "4");
+  one = ExpandConfigs(machine, modes);
+  EXPECT_EQ(one[0].first, "Baseline");
+  EXPECT_EQ(one[0].second.hmc.num_cubes, 4u);
+
+  // More than one count suffixes "-c<N>", mode-major.
+  Config multi;
+  multi.Set("num_cubes", "1, 2");
+  multi.Set("linkbw", "2");
+  const NamedConfigs grid = ExpandConfigs(multi, modes);
+  ASSERT_EQ(grid.size(), 4u);
+  EXPECT_EQ(grid[0].first, "Baseline-c1");
+  EXPECT_EQ(grid[1].first, "Baseline-c2");
+  EXPECT_EQ(grid[2].first, "GraphPIM-c1");
+  EXPECT_EQ(grid[3].first, "GraphPIM-c2");
+  EXPECT_EQ(grid[3].second.hmc.num_cubes, 2u);
+  for (const auto& named : grid) {
+    EXPECT_DOUBLE_EQ(named.second.hmc.link_bw_scale, 2.0);  // every knob
+  }
+}
+
+TEST(ExpandConfigs, RejectsDuplicateModesAndBadCounts) {
+  Config machine;
+  EXPECT_THROW(ExpandConfigs(machine, ParseModeList("baseline,baseline")),
+               SimError);
+  EXPECT_THROW(ExpandConfigs(machine, ParseModeList("all,graphpim")),
+               SimError);
+  for (const char* bad : {"0", "1.5", "-2", "1,0", ",", "abc"}) {
+    Config c;
+    c.Set("num-cubes", bad);
+    EXPECT_THROW(ExpandConfigs(c, {core::Mode::kBaseline}), SimError) << bad;
+  }
+  Config twice;
+  twice.Set("num_cubes", "2,2");
+  EXPECT_THROW(ExpandConfigs(twice, {core::Mode::kBaseline}), SimError);
 }
 
 // Shared tiny grid for the runner tests: 1 workload x 1 profile x 3 paper

@@ -489,6 +489,38 @@ TEST(Journal, ByteFlippedJournalsLoadOnlyJournaledRows) {
   std::remove(path.c_str());
 }
 
+// A damaged index that still parses must not move a row into another
+// cell's slot: the row whose "c" now points at config 1 says "Baseline",
+// which is config 0's name, so it is dropped, and the genuine config-1
+// row that follows it is restored.
+TEST(Journal, ResumeDropsARowWhoseIndexNoLongerMatchesItsNames) {
+  const std::string path = TempPath("journal_moved.jsonl");
+  std::remove(path.c_str());
+  exec::SweepRunner::Options opts;
+  opts.jobs = 1;
+  opts.journal_path = path;
+  const exec::SweepResultTable full = exec::SweepRunner(opts).Run(SmallGrid());
+  ASSERT_EQ(full.rows.size(), 2u);
+
+  std::string text = ReadTextFile(path);
+  const std::size_t at = text.find("\"c\":0,");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, 6, "\"c\":1,");
+  WriteTextFile(path, text);
+
+  exec::SweepRunner::Options resume_opts = opts;
+  resume_opts.resume = true;
+  const exec::SweepResultTable resumed =
+      exec::SweepRunner(resume_opts).Run(SmallGrid());
+  EXPECT_EQ(resumed.resumed_rows, 1u);
+  ASSERT_EQ(resumed.rows.size(), 2u);
+  EXPECT_FALSE(resumed.rows[0].from_journal);
+  EXPECT_TRUE(resumed.rows[1].from_journal);
+  EXPECT_EQ(resumed.rows[1].config_name, "GraphPIM");
+  EXPECT_EQ(exec::ToDeterministicCsv(resumed), exec::ToDeterministicCsv(full));
+  std::remove(path.c_str());
+}
+
 TEST(Journal, ResumeRejectsForeignFingerprint) {
   const std::string path = TempPath("journal_foreign.jsonl");
   std::remove(path.c_str());

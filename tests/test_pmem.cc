@@ -458,11 +458,18 @@ TEST(PmemSweep, EnableMustBeUniformAcrossTheGrid) {
   EXPECT_THROW(exec::SweepRunner(opts).Run(g), SimError);
 }
 
-// The options a sweep cell builds its Experiment with must generate the
-// flush/fence discipline at any seed, or a pmem cell would replay a trace
-// with no persist ops.
+// The trace-shape rule every driver builds its Experiment with must
+// generate the flush/fence discipline whenever the persist domain is on,
+// or a pmem run would replay a trace with no persist ops. A sweep cell's
+// options carry it at any seed.
 TEST(PmemSweep, RetryOptionsCarryFullPersistMode) {
   const exec::SweepGrid g = PmemGrid();
+  core::Experiment::Options shaped;
+  shaped.seed = 77;
+  core::ShapeTraceFor(g.configs, &shaped);
+  EXPECT_EQ(shaped.persist, pmem::PersistMode::kFull);
+  EXPECT_EQ(shaped.seed, 77u);  // everything else is left as it was
+
   const std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
   const core::Experiment::Options eo = exec::MakeExperimentOptions(g, seed);
   EXPECT_EQ(eo.persist, pmem::PersistMode::kFull);
@@ -472,8 +479,24 @@ TEST(PmemSweep, RetryOptionsCarryFullPersistMode) {
 
   exec::SweepGrid off = PmemGrid();
   for (auto& c : off.configs) c.pmem.enable = false;
-  EXPECT_EQ(exec::MakeExperimentOptions(off, seed).persist,
-            pmem::PersistMode::kOff);
+  core::Experiment::Options plain;
+  core::ShapeTraceFor(off.configs, &plain);
+  EXPECT_EQ(plain.persist, pmem::PersistMode::kOff);
+}
+
+TEST(PmemSweep, TraceShapeRejectsNonUniformConfigs) {
+  exec::SweepGrid g = PmemGrid();
+  g.configs[1].pmem.enable = false;
+  core::Experiment::Options eo;
+  EXPECT_THROW(core::ShapeTraceFor(g.configs, &eo), SimError);
+  EXPECT_THROW(exec::MakeExperimentOptions(g, 1), SimError);
+
+  exec::SweepGrid ann = PmemGrid();
+  ann.configs[0].ann.k = 3;
+  EXPECT_THROW(core::ShapeTraceFor(ann.configs, &eo), SimError);
+  // One config is uniform with itself.
+  EXPECT_NO_THROW(core::ShapeTraceFor({ann.configs[0]}, &eo));
+  EXPECT_EQ(eo.params.ann.k, 3);
 }
 
 TEST(PmemSweep, FingerprintCoversPmemKnobs) {

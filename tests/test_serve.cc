@@ -275,6 +275,12 @@ TEST(ServeEngine, FlagReachableParamErrorsThrowSimError) {
   EXPECT_THROW(RunServePoint(sg, p), SimError);
   EXPECT_THROW(RunServeGrid(sg, p, {{"X", p.cfg}}, {1e6}, 1, nullptr),
                SimError);
+  // A negative dispatch cost would run completions backwards in time.
+  p = TinyParams();
+  p.dispatch_ns = -1e9;
+  EXPECT_THROW(RunServePoint(sg, p), SimError);
+  EXPECT_THROW(RunServeGrid(sg, p, {{"X", p.cfg}}, {1e6}, 1, nullptr),
+               SimError);
   ServedGraph::Options bad = TinyGraph();
   bad.num_tenants = 0;
   EXPECT_THROW(ServedGraph{bad}, SimError);

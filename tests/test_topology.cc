@@ -426,7 +426,7 @@ TEST(CubeScaling, CapacityScalesMonotonically) {
 
 TEST(CubeScaling, SweepGridExpandsCubeAxisDeterministically) {
   exec::SweepGrid grid = exec::ParseGridSpec(
-      "workloads=bfs;modes=graphpim;hmc.num_cubes=1,2,4;vertices=2048;"
+      "workloads=bfs;modes=graphpim;num_cubes=1,2,4;vertices=2048;"
       "opcap=100000");
   ASSERT_EQ(grid.configs.size(), 3u);
   EXPECT_EQ(grid.config_names,
@@ -465,6 +465,9 @@ TEST(CubeScaling, GridSpecRejectsBadCubeValues) {
                SimError);
   // Duplicate expanded names (same cube count twice) are rejected.
   EXPECT_THROW({ exec::ParseGridSpec("workloads=bfs;num_cubes=2,2"); },
+               SimError);
+  // The cube axis has the field table's two spellings and no third.
+  EXPECT_THROW({ exec::ParseGridSpec("workloads=bfs;hmc.num_cubes=2"); },
                SimError);
 }
 

@@ -35,18 +35,17 @@
 // a pure function of the flags — bit-identical across --jobs counts and
 // reruns (the serve-identity gate in scripts/golden_identity.sh diffs
 // exactly that region). The wall-clock line prints after the end marker.
-#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/config.h"
 #include "common/log.h"
 #include "common/string_util.h"
 #include "common/trace.h"
+#include "core/runner.h"
 #include "exec/progress.h"
 #include "exec/sweep.h"
 #include "graph/hnsw_index.h"
@@ -111,40 +110,21 @@ int Run(const Config& cfg) {
   base.slo_ns = cfg.GetDouble("slo-ns", 0.0);
 
   // --- machine configs: modes x cube counts ---------------------------
-  // num-cubes may carry a comma list (the sweep convention): it expands
-  // the config axis with "-c<N>" suffixes. SimConfig::FromConfig parses
-  // single numbers only, so the list is re-set per config before parsing.
-  const std::vector<core::Mode> modes =
-      exec::ParseModeList(cfg.GetString("modes", "baseline,graphpim"));
-  std::string cubes_arg = cfg.GetString("num-cubes", "");
-  if (cubes_arg.empty()) cubes_arg = cfg.GetString("num_cubes", "1");
-  const std::vector<double> cube_list = ParseDoubleList(cubes_arg, "num-cubes");
-  std::vector<std::pair<std::string, core::SimConfig>> configs;
-  for (core::Mode m : modes) {
-    for (double c : cube_list) {
-      if (!(c >= 1 && c <= std::numeric_limits<std::uint32_t>::max() &&
-            c == std::floor(c))) {
-        GP_THROW("--num-cubes entries must be positive integers, got ", c);
-      }
-      const auto n = static_cast<std::uint32_t>(c);
-      Config one = cfg;
-      one.Set("num-cubes", std::to_string(n));
-      one.Set("num_cubes", std::to_string(n));
-      std::string name = core::ToString(m);
-      if (cube_list.size() > 1) name += StrFormat("-c%u", n);
-      configs.emplace_back(name, core::SimConfig::FromConfig(one, m));
-    }
-  }
+  const exec::NamedConfigs configs = exec::ExpandConfigs(
+      cfg, exec::ParseModeList(cfg.GetString("modes", "baseline,graphpim")));
 
   // --- resident graph ---------------------------------------------------
-  // A knn entry with positive weight switches on the shared ANN index; the
-  // ann.* knobs are machine-config flags, uniform across the modes x cubes
-  // expansion (all configs parse the same ann values), so the first config
-  // supplies the index shape.
+  // A knn entry with positive weight switches on the shared ANN index,
+  // shaped like the trace of one replay: the trace-shape rule checks that
+  // every config agrees on the ann.* block and supplies it.
   for (const serve::MixEntry& me : base.traffic.mix) {
     if (me.first == "knn" && me.second > 0.0) go.enable_ann = true;
   }
-  if (go.enable_ann) go.ann = configs.front().second.ann;
+  std::vector<core::SimConfig> machines;
+  for (const auto& named : configs) machines.push_back(named.second);
+  core::Experiment::Options shape;
+  core::ShapeTraceFor(machines, &shape);
+  if (go.enable_ann) go.ann = shape.params.ann;
   serve::ServedGraph sg(go);
 
   // --- offered-load grid ----------------------------------------------

@@ -46,11 +46,9 @@
 //                             # mode; deterministic table at any --jobs
 //   [--pmem-mutant=none|missing-fence|redundant-flush]  # seed a persist
 //                             # bug the checker must flag
-#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <functional>
-#include <future>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -115,20 +113,19 @@ int RunMain(const Config& cfg) {
     mode_cfgs.push_back(sc);
   }
 
+  core::ShapeTraceFor(mode_cfgs, &opts);  // persist discipline, ann block
+
   // Persistent-PMR driver flags. The mutants and the crash sweep only make
   // sense with the persist domain on; flag the conflict rather than
-  // silently doing nothing.
+  // silently doing nothing. A mutant overrides the full discipline.
   const bool pmem_on = mode_cfgs.front().pmem.enable;
   const std::string mutant = cfg.GetString("pmem-mutant", "none");
   const std::uint64_t crash_sweep = cfg.GetUint("crash-sweep", 0);
-  pmem::PersistMode pmode = pmem::PersistMode::kOff;
-  if (mutant == "none") {
-    if (pmem_on) pmode = pmem::PersistMode::kFull;
-  } else if (mutant == "missing-fence") {
-    pmode = pmem::PersistMode::kMissingFence;
+  if (mutant == "missing-fence") {
+    opts.persist = pmem::PersistMode::kMissingFence;
   } else if (mutant == "redundant-flush") {
-    pmode = pmem::PersistMode::kRedundantFlush;
-  } else {
+    opts.persist = pmem::PersistMode::kRedundantFlush;
+  } else if (mutant != "none") {
     GP_THROW("config key 'pmem-mutant' must be none, missing-fence, or "
              "redundant-flush; got '", mutant, "'");
   }
@@ -140,11 +137,6 @@ int RunMain(const Config& cfg) {
     GP_THROW("config key 'crash-sweep' (", crash_sweep,
              ") requires 'pmem.enable'=1");
   }
-  opts.persist = pmode;
-  // The ann.* rows ride the same field table as every machine knob; the
-  // hnsw workload bakes them into the trace at generation time (they are
-  // mode-independent, so any mode's parse yields the same block).
-  opts.params.ann = mode_cfgs.front().ann;
 
   core::Experiment exp(profile, vertices, workload, opts);
   std::printf("graphpim_sim: %s on %s-%u (%llu edges, %llu micro-ops)\n\n",
@@ -201,52 +193,43 @@ int RunMain(const Config& cfg) {
   const bool timeline_sink = want_phases || cfg.Has("timeline-out");
   trace::RequireSink(mode_cfgs.front().telemetry_window_ns, timeline_sink,
                      "pass --metrics-out=FILE and/or --timeline-out=FILE");
-  std::vector<core::SimResults> mode_results(modes.size());
   std::vector<pmem::PersistLog> persist_logs(modes.size());
   // --progress reuses the sweep heartbeat (exec/progress.h): one stderr
   // line per retired mode replay with an ETA, leaving stdout (the golden
   // surface) untouched.
   std::function<void(const exec::SweepProgress&)> on_progress;
   if (cfg.GetBool("progress", false)) on_progress = exec::StderrHeartbeat();
-  std::vector<double> job_wall_ms(modes.size(), 0.0);
+  std::size_t completed = 0;
+  std::vector<core::SimResults> mode_results;
   {
     exec::ThreadPool pool(static_cast<int>(cfg.GetInt("jobs", 0)));
-    std::vector<std::future<core::SimResults>> futs;
-    futs.reserve(modes.size());
-    for (std::size_t i = 0; i < mode_cfgs.size(); ++i) {
-      const core::SimConfig& sc = mode_cfgs[i];
-      core::RunOptions ro;
-      if (i + 1 == mode_cfgs.size()) {
-        if (want_phases) {
-          ro.phases = &phase_log;
-          if (sc.trace_sample_rate > 0.0) ro.spans = &span_log;
-        }
-        if (timeline_sink) ro.timeline = &timeline;
-      }
-      if (pmem_on) ro.persist = &persist_logs[i];
-      futs.push_back(pool.Submit([&trace, &sc, &exp, ro, i, &job_wall_ms] {
-        auto t0 = std::chrono::steady_clock::now();
-        core::SimResults r =
-            core::RunSimulation(trace, sc, exp.pmr_base(), exp.pmr_end(), ro);
-        job_wall_ms[i] = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-        return r;
-      }));
-    }
-    for (std::size_t i = 0; i < futs.size(); ++i) {
-      mode_results[i] = futs[i].get();
-      if (on_progress) {
-        exec::SweepProgress p;
-        p.completed = i + 1;
-        p.total = futs.size();
-        p.workload = workload;
-        p.profile = profile;
-        p.config_name = core::ToString(modes[i]);
-        p.wall_ms = job_wall_ms[i];
-        on_progress(p);
-      }
-    }
+    mode_results = exec::ParallelMap(
+        pool, mode_cfgs.size(),
+        [&](std::size_t i) {
+          const core::SimConfig& sc = mode_cfgs[i];
+          core::RunOptions ro;
+          if (i + 1 == mode_cfgs.size()) {
+            if (want_phases) {
+              ro.phases = &phase_log;
+              if (sc.trace_sample_rate > 0.0) ro.spans = &span_log;
+            }
+            if (timeline_sink) ro.timeline = &timeline;
+          }
+          if (pmem_on) ro.persist = &persist_logs[i];
+          return core::RunSimulation(trace, sc, exp.pmr_base(), exp.pmr_end(),
+                                     ro);
+        },
+        [&](std::size_t i, double wall_ms, const core::SimResults&) {
+          if (!on_progress) return;
+          exec::SweepProgress p;
+          p.completed = ++completed;
+          p.total = mode_cfgs.size();
+          p.workload = workload;
+          p.profile = profile;
+          p.config_name = core::ToString(modes[i]);
+          p.wall_ms = wall_ms;
+          on_progress(p);
+        });
   }
 
   std::unique_ptr<core::SimResults> baseline;

@@ -52,7 +52,6 @@
 #include <string>
 
 #include "common/config.h"
-#include "common/string_util.h"
 #include "common/trace.h"
 #include "exec/progress.h"
 #include "exec/result_sink.h"
@@ -83,26 +82,13 @@ int Run(const Config& cfg) {
   cfg.RequireKeys(keys);
   cfg.RequireWritable({"json", "csv", "det-csv"});
 
-  // Assemble a grid spec from the individual flags and reuse the shared
-  // grid parser, which owns key parsing and validation.
-  std::string spec =
-      "workloads=" +
-      cfg.GetString("workloads", Join(workloads::EvalWorkloadNames()));
-  spec += ";profiles=" + cfg.GetString("profiles", "ldbc");
-  spec += ";modes=" + cfg.GetString("modes", "all");
-  spec += ";vertices=" + std::to_string(cfg.GetUint("vertices", 32 * 1024));
-  spec += ";threads=" + std::to_string(cfg.GetInt("threads", 16));
-  spec += ";opcap=" + std::to_string(cfg.GetUint("opcap", 12'000'000));
-  spec += ";seed=" + std::to_string(cfg.GetUint("seed", 1));
-  // Forward every present machine knob verbatim (field-table keys, both
-  // spellings): fault knobs, full, topology, num-cubes (which may carry a
-  // comma list and expands the config axis), ... — the grid parser and
-  // SimConfig::FromConfig own parsing and validation.
-  for (const std::string& k : core::SimConfig::ConfigKeys()) {
-    if (k == "threads") continue;  // already in the spec (structural)
-    if (cfg.Has(k)) spec += ";" + k + "=" + cfg.GetString(k, "");
+  // The flags are the grid keys: the shared grid builder owns parsing and
+  // validation, and every present machine knob reaches each config.
+  Config grid_cfg = cfg;
+  if (!grid_cfg.Has("workloads")) {
+    grid_cfg.Set("workloads", Join(workloads::EvalWorkloadNames()));
   }
-  exec::SweepGrid grid = exec::ParseGridSpec(spec);
+  exec::SweepGrid grid = exec::MakeSweepGrid(grid_cfg);
 
   exec::SweepRunner::Options opts;
   opts.jobs = static_cast<int>(cfg.GetInt("jobs", 0));
